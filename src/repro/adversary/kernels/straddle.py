@@ -13,7 +13,8 @@ The split is returned as an additive share-adjustment plane: with the engine
 computing each recipient's coin as ``sign(S + adjustment)``, an adjustment of
 ``-S`` for the upper recipient half and ``-S - 1`` for the lower half yields
 coin 1 above and coin 0 below — exactly the ``value[upper] = 1 / value[lower]
-= 0`` assignment of the retired ``_run_batch_uniform`` loop.  Against a
+= 0`` assignment of the retired ``_run_batch_uniform`` loop.  The plane is as
+narrow as the committee width allows (``int8`` up to 127 members).  Against a
 dealer or private coin the adjustment plane is ignored by the engine, which
 reproduces the attack's futility (corruptions still spent, coin unmoved) the
 dealer-coin skeleton modelled before.
@@ -90,19 +91,23 @@ class StraddleKernel(AdversaryKernel):
             spoiled, (controlled + needed) * row_popcount(ctx.active), 0
         )
         # Share adjustment forcing the half split among the live recipients:
-        # -S on the upper half (coin 1), -S - 1 on the lower half (coin 0).
-        # Columns outside the live-recipient mask never reach the engine's
-        # coin blend, so they need no masking of their own.
+        # -S on the upper half (coin 1), -S - 1 on the lower half (coin 0),
+        # built as `-S - lower` in the narrowest signed dtype that holds
+        # +-(committee width + 1) (|S| never exceeds the width), which the
+        # engine's coin compare then works in.  Columns outside the
+        # live-recipient mask never reach the engine's coin blend, so they
+        # need no masking of their own.
+        dtype = np.min_scalar_type(-(stop - start + 1))
         rows = np.flatnonzero(spoiled)
         if rows.size == len(spoiled):
             # Every trial spoiled: operate on the full planes, no gathers.
             lower, _ = lower_half_split(ctx.active & ctx.can_update)
-            sums = share_sum.astype(np.int32)[:, None]
-            return Round2Effect(shares=np.where(lower, -sums - 1, -sums))
+            sums = share_sum.astype(dtype)[:, None]
+            return Round2Effect(shares=(-sums) - lower)
         # Work on the spoiled subset only (the "first half of the recipients"
         # split runs on packed bytes + a prefix-bit LUT either way).
         lower, _ = lower_half_split(ctx.active[rows] & ctx.can_update[rows])
-        sums = share_sum[rows].astype(np.int32)[:, None]
-        adjustment = np.zeros(ctx.active.shape, dtype=np.int32)
-        adjustment[rows] = np.where(lower, -sums - 1, -sums)
+        sums = share_sum[rows].astype(dtype)[:, None]
+        adjustment = np.zeros(ctx.active.shape, dtype=dtype)
+        adjustment[rows] = (-sums) - lower
         return Round2Effect(shares=adjustment)

@@ -15,7 +15,9 @@ and the baselines' ``run_phase_skeleton_batch``:
   :class:`~repro.adversary.kernels.base.AdversaryKernel`;
 * committee coin-share draws on the per-trial Philox generators (always for
   the committee coin; lazily, only when the kernel is share-hungry and some
-  trial can reach the coin case, for the dealer/private coins);
+  trial can reach the coin case, for the dealer/private coins), taken as raw
+  words by :class:`TrialBits`, bit-exact with the ``integers`` calls they
+  replaced;
 * CONGEST message accounting (honest broadcasts engine-side, adversary
   traffic kernel-side) and flush-phase / bounded-exhaustion termination;
 * the batched agreement/validity finaliser (:func:`finalize_planes`).
@@ -92,7 +94,14 @@ from repro.topology.loss import (
     validate_loss,
 )
 
-__all__ = ["COIN_SOURCES", "PhaseEngine", "draw_committee_shares", "finalize_planes"]
+__all__ = [
+    "COIN_SOURCES",
+    "PhaseEngine",
+    "TrialBits",
+    "committee_coin",
+    "draw_committee_shares",
+    "finalize_planes",
+]
 
 #: Coin sources the engine models.
 COIN_SOURCES = ("committee", "dealer", "private")
@@ -101,32 +110,127 @@ COIN_SOURCES = ("committee", "dealer", "private")
 _COMPACTION_THRESHOLD = 0.75
 
 
+class TrialBits:
+    """Per-trial fair-bit draws, bit-exact with ``Generator.integers(0, 2, size=c)``.
+
+    ``integers(0, 2)`` on the counter-based bit generators returns bit 31 of
+    successive uint32 halves of the raw 64-bit words, low half first, and a
+    trailing odd half waits in the generator's ``has_uint32``/``uinteger``
+    buffer for the next uint32 draw.  This object draws the raw words
+    directly (``bit_generator.random_raw``, several times cheaper than an
+    ``integers`` call) and keeps each trial's buffered half itself: it reads
+    the half from ``bit_generator.state`` once, consumes and refills it
+    exactly as ``integers`` would, and writes it back with :meth:`sync`.
+    Uint64 consumers (``random``, ``binomial``, ``multinomial``, and so the
+    loss planes and noise kernels) never touch that buffer, so they may
+    interleave freely; every *uint32* consumer of the engine's generators
+    must go through :meth:`draw`, or the tracked half goes out of sync.
+
+    Rows are trials in the engine's working order; :meth:`compact` follows
+    the engine's compaction.  After :meth:`sync` of a row its generator is in
+    exactly the state the ``integers`` path leaves.
+    """
+
+    __slots__ = ("_bitgens", "_raw", "_has_half", "_half", "_synced")
+
+    def __init__(self, rngs: Sequence[np.random.Generator]) -> None:
+        self._bitgens = [rng.bit_generator for rng in rngs]
+        if len({id(bitgen) for bitgen in self._bitgens}) != len(self._bitgens):
+            raise ConfigurationError("every trial needs its own generator")
+        self._raw = [bitgen.random_raw for bitgen in self._bitgens]
+        # Per row, the generator state's `has_uint32` and `uinteger` fields.
+        self._has_half: list[int] = []
+        self._half: list[int] = []
+        for bitgen in self._bitgens:
+            state = bitgen.state
+            if "has_uint32" not in state:
+                raise ConfigurationError(
+                    f"{state['bit_generator']} has no buffered uint32 half; "
+                    "use a 64-bit generator such as Philox"
+                )
+            self._has_half.append(state["has_uint32"])
+            self._half.append(state["uinteger"])
+        self._synced = list(zip(self._has_half, self._half))
+
+    def draw(self, row: int, count: int) -> bytes:
+        """The next ``count`` fair bits of trial ``row``, in bit 7 of each byte.
+
+        Consumes the buffered half first, then ``ceil(rest / 2)`` raw words;
+        an odd ``rest`` leaves the last word's high half buffered.
+        ``count == 0`` draws nothing.
+        """
+        head = b""
+        if self._has_half[row] and count:
+            self._has_half[row] = 0
+            head = bytes((self._half[row] >> 24,))
+            count -= 1
+        if not count:
+            return head
+        # Little-endian words: the top byte of half i sits at byte 4i + 3.
+        words = self._raw[row]((count + 1) >> 1).astype("<u8", copy=False).tobytes()
+        self._has_half[row] = count & 1
+        # `uinteger` keeps the last word's high half even once it is consumed.
+        self._half[row] = int.from_bytes(words[-4:], "little")
+        return head + words[3 : 4 * count : 4]
+
+    def sync(self, rows: Sequence[int]) -> None:
+        """Write the tracked buffered half back into each row's generator."""
+        for row in rows:
+            pending = (self._has_half[row], self._half[row])
+            if pending != self._synced[row]:
+                bitgen = self._bitgens[row]
+                state = bitgen.state
+                state["has_uint32"], state["uinteger"] = pending
+                bitgen.state = state
+                self._synced[row] = pending
+
+    def compact(self, keep: Sequence[int]) -> None:
+        """Keep only rows ``keep`` (sync dropped rows first)."""
+        for name in self.__slots__:
+            rows = getattr(self, name)
+            setattr(self, name, [rows[i] for i in keep])
+
+
 def draw_committee_shares(
-    draw_fns: Sequence,
+    bits: TrialBits,
     running: np.ndarray,
     committee_active: np.ndarray,
 ) -> np.ndarray:
     """Per-trial fresh ±1 shares for the active committee members.
 
-    One ``integers(0, 2, size=count)`` call per running trial — the same
-    calls, in the same order, as the single-trial path, so the consumed bit
-    streams are identical.  The raw draws are concatenated and scattered in a
-    single vectorised pass: boolean-mask assignment walks the mask in
-    row-major order, which is exactly the concatenation order (non-running
-    trials have all-False committee rows and draw nothing).
+    One :meth:`TrialBits.draw` of ``count`` bits per running trial: the same
+    bits, in the same order, as the single-trial path's
+    ``integers(0, 2, size=count)`` call, so results and store keys are
+    unchanged.  Each trial consumes its buffered uint32 half (if any) and
+    then ``ceil(rest / 2)`` raw Philox words, leaving an odd trailing half
+    buffered.  The bits are concatenated and scattered in a single
+    vectorised pass: boolean-mask assignment walks the mask in row-major
+    order, which is exactly the concatenation order (non-running trials have
+    all-False committee rows and draw nothing).
     """
     batch, width = committee_active.shape
     shares = np.zeros((batch, width), dtype=np.int8)
-    counts = np.count_nonzero(committee_active, axis=1)
-    draws = [
-        draw_fns[b](0, 2, size=int(counts[b]))
-        for b in range(batch)
-        if running[b]
-    ]
-    if draws:
-        flat = np.concatenate(draws).astype(np.int8)
-        shares[committee_active] = (flat << 1) - 1
+    counts = np.count_nonzero(committee_active, axis=1).tolist()
+    draw = bits.draw
+    flat = b"".join([draw(b, counts[b]) for b in np.flatnonzero(running).tolist()])
+    if flat:
+        drawn = np.frombuffer(flat, dtype=np.uint8) >> 7
+        shares[committee_active] = (drawn.view(np.int8) << 1) - 1
     return shares
+
+
+def committee_coin(share_sum: np.ndarray, adjustment: np.ndarray) -> np.ndarray:
+    """Each recipient's clique committee coin: ``share_sum + adjustment >= 0``.
+
+    ``share_sum`` is the ``(B,)`` honest share sum and ``adjustment`` the
+    kernel's additive share plane (a ``(B, n)`` array or a scalar).  The
+    compare works in the plane's own dtype, so it never widens the plane; a
+    kernel returning a narrow plane must size it for ``|share_sum|`` plus its
+    adjustment (the straddle plane is ``int8`` up to 127 committee members).
+    """
+    if adjustment.ndim:
+        return (share_sum.astype(adjustment.dtype)[:, None] + adjustment) >= 0
+    return (share_sum[:, None] + adjustment) >= 0
 
 
 def finalize_planes(
@@ -325,7 +429,7 @@ class PhaseEngine:
         final = self._batch_state(inputs)
         orig = np.arange(batch0)
         rngs = list(rngs)
-        draw_fns = [rng.integers for rng in rngs]
+        bits = TrialBits(rngs)
         dealer_seeds = list(self.dealer_seeds) if self.dealer_seeds is not None else None
         pending_any = False  # does flush_next hold any scheduled flush?
 
@@ -377,6 +481,7 @@ class PhaseEngine:
             final["output"][where] = output.bools()[rows]
             final["messages"][where] = messages[rows]
             final["phases"][where] = phases[rows]
+            bits.sync(rows)
 
         def context(phase: int, start: int, stop: int, running: np.ndarray) -> KernelContext:
             return KernelContext(
@@ -418,7 +523,7 @@ class PhaseEngine:
                     sender_count = sender_count[keep]
                     orig = orig[keep]
                     rngs = [rngs[i] for i in keep]
-                    draw_fns = [draw_fns[i] for i in keep]
+                    bits.compact(keep)
                     if dealer_seeds is not None:
                         dealer_seeds = [dealer_seeds[i] for i in keep]
                     kernel.compact(keep)
@@ -519,7 +624,7 @@ class PhaseEngine:
                 shares = None
                 if self.coin == "committee":
                     shares = draw_committee_shares(
-                        draw_fns, running, active.bools()[:, start:stop]
+                        bits, running, active.bools()[:, start:stop]
                     )
                 elif kernel.needs_shares:
                     if masked:
@@ -536,7 +641,7 @@ class PhaseEngine:
                         )
                     if (running & ~assigned_honest).any():
                         shares = draw_committee_shares(
-                            draw_fns, running, active.bools()[:, start:stop]
+                            bits, running, active.bools()[:, start:stop]
                         )
                 share_recv = None
                 if shares is not None:
@@ -597,11 +702,8 @@ class PhaseEngine:
                         # are always delivered (worst case).
                         assert share_recv is not None
                         coin = (share_recv + adj) >= 0
-                    elif adj.ndim:
-                        # Work in the kernel's (narrower) adjustment dtype.
-                        coin = (honest_sum.astype(adj.dtype)[:, None] + adj) >= 0
                     else:
-                        coin = (honest_sum[:, None] + adj) >= 0
+                        coin = committee_coin(honest_sum, adj)
                     value.blend_mask(coin, coin_mask)
                 else:
                     need = running & coin_case.any(axis=1)
@@ -617,7 +719,8 @@ class PhaseEngine:
                         else:  # private
                             coin_plane = np.zeros((len(orig), n), dtype=bool)
                             for b in np.flatnonzero(need):
-                                coin_plane[b] = draw_fns[b](0, 2, size=n).astype(bool)
+                                drawn = np.frombuffer(bits.draw(b, n), dtype=np.uint8)
+                                coin_plane[b] = drawn >= 128
                             value.blend_mask(coin_plane, coin_mask)
                 decided.clear_where(coin_mask)
 

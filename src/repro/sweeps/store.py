@@ -19,7 +19,8 @@ Durability contract:
 * the JSONL shards are the single source of truth.  :meth:`ResultsStore.put`
   appends one line and flushes before returning, so a sweep killed at any
   moment loses at most the point being computed;
-* ``index.json`` is a derived cache (rewritten atomically after each append)
+* ``index.json`` is a derived cache (rewritten atomically after each append,
+  through a per-writer temp file so that concurrent writers never collide)
   kept for humans and external tools; loading *never* trusts it — the shards
   are rescanned, and a torn final line (the kill-mid-write case) is skipped
   and simply recomputed on resume;
@@ -34,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -322,7 +324,10 @@ class ResultsStore:
         payload = json.dumps(
             {"schema": STORE_SCHEMA_VERSION, "records": index}, indent=2
         )
-        temp = self.root / "index.json.tmp"
+        # A per-writer temp name (process and thread): concurrent writers
+        # sharing one store each rename their own complete file into place,
+        # and the last rename wins.
+        temp = self.root / f"index.json.{os.getpid()}.{threading.get_ident()}.tmp"
         temp.write_text(payload + "\n", encoding="utf-8")
         temp.replace(self.root / "index.json")
         self._index_dirty = False

@@ -11,14 +11,24 @@ independent) matches the object simulator, where each
 Two consumers share this module:
 
 * the masked :class:`~repro.simulator.phase_engine.PhaseEngine` draws one
-  ``(n, n)`` uniform plane per (running trial, round) from the trial's own
-  Philox generator via :func:`sample_delivered` — trials draw only from
-  their own generators, so per-trial results stay independent of batching
-  and compaction, exactly like the committee share draws;
+  ``(n, n)`` plane of raw 64-bit words per (running trial, round) from the
+  trial's own Philox generator via :func:`sample_delivered` (or its packed
+  sibling :func:`sample_delivered_words`; both share one draw loop) — trials
+  draw only from their own generators, so per-trial results stay independent
+  of batching and compaction, exactly like the committee share draws;
 * the object :class:`~repro.simulator.scheduler.SynchronousScheduler` turns
   the same Bernoulli model into per-round ``(sender, recipient)`` drop sets
   via :func:`sample_drops`, drawing from a dedicated network stream of the
   run's :class:`~repro.simulator.rng.RandomnessSource`.
+
+The engine's draw is the historical ``Generator.random`` plane without the
+float pass: ``random()`` maps a raw word ``w`` to ``(w >> 11) * 2**-53``, so
+``random() >= loss`` holds exactly when ``w >= ceil(loss * 2**53) << 11``,
+and the sampler compares the raw words against that integer threshold.  The
+same ``n * n`` words are consumed and the same edges kept, so results and
+store keys are unchanged.  Whole-word draws never touch the generator's
+buffered uint32 half, which the engine's fair-bit draws
+(:class:`~repro.simulator.phase_engine.TrialBits`) track.
 
 The two paths consume *different* streams, so off-clique/lossy
 cross-validation between them is statistical, never bit-exact.
@@ -26,7 +36,8 @@ cross-validation between them is statistical, never bit-exact.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +61,34 @@ def validate_loss(loss: float) -> float:
     return loss
 
 
+def _kept_edges(
+    adjacency: np.ndarray | None,
+    loss: float,
+    n: int,
+    rngs: Sequence[np.random.Generator],
+    running: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The one per-trial loss draw loop behind both samplers.
+
+    Yields ``(b, kept)`` for each running trial ``b`` in order, ``kept``
+    being its ``(n, n)`` boolean delivered-edge matrix (sender-major, True
+    diagonal).  ``kept`` is one reused buffer, valid until the next step.
+
+    Each trial consumes ``n * n`` raw 64-bit words of its generator and keeps
+    an edge when its word clears the integer threshold that is exact for
+    ``random() >= loss`` (see the module docstring).
+    """
+    threshold = np.uint64(math.ceil(loss * 2.0**53) << 11)
+    kept = np.empty((n, n), dtype=bool)
+    for b in np.flatnonzero(running):
+        words = rngs[b].bit_generator.random_raw(n * n).reshape(n, n)
+        np.greater_equal(words, threshold, out=kept)
+        if adjacency is not None:
+            kept &= adjacency
+        np.einsum("ii->i", kept)[:] = True
+        yield b, kept
+
+
 def sample_delivered(
     adjacency: np.ndarray | None,
     loss: float,
@@ -65,8 +104,8 @@ def sample_delivered(
         loss: Per-edge drop probability (> 0; the loss-free masked path uses
             the constant adjacency directly and draws nothing).
         n: Network size.
-        rngs: Per-trial generators; trial ``b`` draws one ``(n, n)`` uniform
-            plane — only if it is still running, so finished (compacted-away)
+        rngs: Per-trial generators; trial ``b`` draws ``n * n`` raw words
+            — only if it is still running, so finished (compacted-away)
             trials never consume loss randomness.
         running: ``(B,)`` liveness mask.
         out: Optional ``(B, n, n)`` float32 buffer to fill and return in
@@ -91,14 +130,7 @@ def sample_delivered(
         idle = ~np.asarray(running, dtype=bool)
         if idle.any():
             delivered[idle] = 0.0
-    draw = np.empty((n, n), dtype=np.float64)
-    kept = np.empty((n, n), dtype=bool)
-    for b in np.flatnonzero(running):
-        rngs[b].random(out=draw)
-        np.greater_equal(draw, loss, out=kept)
-        if adjacency is not None:
-            kept &= adjacency
-        np.einsum("ii->i", kept)[:] = True
+    for b, kept in _kept_edges(adjacency, loss, n, rngs, running):
         delivered[b] = kept
     return delivered
 
@@ -114,11 +146,10 @@ def sample_delivered_words(
     """One round's delivered-edge matrices, bit-packed recipient-major.
 
     The packed-backend sibling of :func:`sample_delivered`: the *same*
-    per-trial Philox draws in the same order (one ``(n, n)`` uniform plane
-    per running trial), but each trial's kept matrix is emitted as
-    ``(n, ceil(n/64))`` uint64 words — row ``i`` packs the senders whose
-    round messages reach recipient ``i``, in the
-    :func:`repro.simulator.planes.packed.pack_bools` layout — so the
+    per-trial draws in the same order (the shared draw loop), but each
+    trial's kept matrix is emitted as ``(n, ceil(n/64))`` uint64 words — row
+    ``i`` packs the senders whose round messages reach recipient ``i``, in
+    the :func:`repro.simulator.planes.packed.pack_bools` layout — so the
     masked tallies can run as AND+popcount word contractions
     (:class:`repro.topology.counting.PackedDeliveredChannel`) without the
     float32 round-trip.  Packing transposes for free: ``np.packbits`` along
@@ -146,15 +177,8 @@ def sample_delivered_words(
         idle = ~np.asarray(running, dtype=bool)
         if idle.any():
             delivered[idle] = 0
-    draw = np.empty((n, n), dtype=np.float64)
-    kept = np.empty((n, n), dtype=bool)
     nbytes = (n + 7) // 8
-    for b in np.flatnonzero(running):
-        rngs[b].random(out=draw)
-        np.greater_equal(draw, loss, out=kept)
-        if adjacency is not None:
-            kept &= adjacency
-        np.einsum("ii->i", kept)[:] = True
+    for b, kept in _kept_edges(adjacency, loss, n, rngs, running):
         # packbits over axis 0 packs each *column* (= each recipient's
         # incoming senders) MSB-first; the transpose assignment lands them
         # as recipient-major byte rows of the little-endian word view.

@@ -2,16 +2,21 @@
 
 Covers the four acceptance surfaces: spec round-trip and content-hash
 stability across dict ordering, store resume semantics (interrupt mid-sweep,
-re-run, only pending points execute), shard-merge exactness of the
+re-run, only pending points execute) and concurrent writers, shard-merge exactness of the
 ``vectorized-mp`` engine, and the ``repro sweep`` CLI subcommands.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core.runner import AgreementExperiment, TrialsResult
 from repro.engine import run_sweep
@@ -244,6 +249,30 @@ class TestStore:
         # The index is a cache: deleting it loses nothing.
         (tmp_path / "store" / "index.json").unlink()
         assert "cc33" in ResultsStore(tmp_path / "store")
+
+    def test_concurrent_writers_share_one_store(self, tmp_path):
+        # Four `repro sweep run` processes race on one store: every index
+        # rewrite goes through the writer's own temp file, so none crashes,
+        # and the reopened store serves every point.  (Writers may compute
+        # the same point twice; both lines carry identical results.)
+        root = tmp_path / "store"
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        command = [sys.executable, "-m", "repro", "sweep", "run", "e6-quick",
+                   "--store", str(root)]
+        writers = [
+            subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for _ in range(4)
+        ]
+        for writer in writers:
+            _, stderr = writer.communicate(timeout=300)
+            assert writer.returncode == 0, stderr
+        reopened = ResultsStore(root)
+        pairs = spec_keys(get_spec("e6-quick"))
+        assert len(pairs) == 48
+        for point, key in pairs:
+            assert result_from_record(reopened.get(key)).experiment == point.experiment()
+        assert not list(root.glob("*.tmp"))
 
 
 class TestExecutorResume:
