@@ -11,6 +11,7 @@ and bit-for-bit result identity.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -18,7 +19,12 @@ import numpy as np
 from repro.core.parameters import ProtocolParameters
 from repro.core.runner import run_agreement
 from repro.engine import run_sweep
-from repro.simulator.vectorized import VectorizedAgreementSimulator, run_vectorized_trials
+from repro.simulator.vectorized import (
+    VectorizedAgreementSimulator,
+    batch_setup,
+    build_vectorized_simulator,
+    run_vectorized_trials,
+)
 
 #: The batched-sweep comparison configuration (trials, n, t).  t = n/8 sits in
 #: the middle of the adversary budgets the experiments sweep.
@@ -67,11 +73,19 @@ def test_vectorized_engine_single_run(benchmark):
     assert result.agreement
 
 
+def _per_trial_loop(n, t, *, protocol, adversary, inputs, trials, seed):
+    """The per-trial reference loop: the same generators and input rows as the
+    batched call, run through the single-trial reference one at a time."""
+    simulator = build_vectorized_simulator(n, t, protocol=protocol, adversary=adversary)
+    input_rows, rngs = batch_setup(n, inputs, trials, seed)
+    return [simulator.run(input_rows[k], rngs[k], k) for k in range(trials)]
+
+
 def test_batched_vs_per_trial_loop_speedup():
-    """The batched engine must beat the seed's per-trial loop by a wide margin.
+    """The batched engine must beat the per-trial reference loop by a wide margin.
 
     Runs the same ``trials=100, n=2000`` sweep through ``run_batch`` (the
-    default) and through the per-trial loop the seed shipped, checks the two
+    default) and through the per-trial reference loop, checks the two
     produce *identical* per-trial results on the same ``(seed, k)`` Philox
     keys, and prints the measured speedup.
     """
@@ -80,22 +94,26 @@ def test_batched_vs_per_trial_loop_speedup():
         trials=SWEEP_TRIALS, seed=17,
     )
     timings = {}
-    for label, batch, repeats in (("batched", True, 3), ("per-trial loop", False, 2)):
+    for label, sweep, repeats in (
+        ("batched", run_vectorized_trials, 3),
+        ("per-trial loop", _per_trial_loop, 2),
+    ):
         best = float("inf")
         for _ in range(repeats):
             started = time.perf_counter()
-            aggregate = run_vectorized_trials(SWEEP_N, SWEEP_T, batch=batch, **kwargs)
+            summaries = sweep(SWEEP_N, SWEEP_T, **kwargs)
             best = min(best, time.perf_counter() - started)
-        timings[label] = (best, aggregate)
+        timings[label] = (best, summaries)
 
     batched_s, batched = timings["batched"]
     loop_s, loop = timings["per-trial loop"]
-    assert batched.results == loop.results, "batched results must be bit-identical"
+    assert batched == loop, "batched results must be bit-identical"
     speedup = loop_s / batched_s
     print(
         f"\nengine sweep (trials={SWEEP_TRIALS}, n={SWEEP_N}, t={SWEEP_T}): "
         f"batched {batched_s * 1000:.1f} ms, per-trial loop {loop_s * 1000:.1f} ms, "
-        f"speedup {speedup:.2f}x (identical results, mean phases {batched.mean_phases:.1f})"
+        f"speedup {speedup:.2f}x (identical results, mean phases "
+        f"{statistics.fmean(summary.phases for summary in batched):.1f})"
     )
     from benchmarks.harness import update_summary
 
@@ -136,15 +154,15 @@ def test_packed_backend_bit_identical_and_not_slower():
         best = float("inf")
         for _ in range(3):
             started = time.perf_counter()
-            aggregate = run_vectorized_trials(
+            summaries = run_vectorized_trials(
                 SWEEP_N, SWEEP_T, backend=backend, **kwargs
             )
             best = min(best, time.perf_counter() - started)
-        timings[backend] = (best, aggregate)
+        timings[backend] = (best, summaries)
 
     numpy_s, reference = timings["numpy"]
     packed_s, packed = timings["packed"]
-    assert packed.results == reference.results, (
+    assert packed == reference, (
         "the packed backend must be bit-identical to the numpy reference"
     )
     speedup = numpy_s / packed_s

@@ -7,28 +7,22 @@ committee engine (:mod:`repro.simulator.vectorized`):
   planes, with per-node updates expressed as XOR-blend boolean algebra and
   per-row tallies computed by byte-packing + popcount;
 * trial ``k`` of master seed ``s`` draws its randomness from the
-  counter-based Philox generator keyed ``(s, k)``
-  (:func:`repro.simulator.vectorized.trial_generator`), so per-trial results
-  are independent of how trials are batched together;
-* results are reported as :class:`VectorizedRunResult` /
-  :class:`VectorizedAggregate`, the same shapes
-  :func:`repro.engine.run_sweep` folds into :class:`TrialSummary` lists.
+  counter-based Philox generator keyed ``(s, trial_offset + k)``
+  (:func:`batch_setup`), so per-trial results are independent of how trials
+  are batched together;
+* the final planes go through the one finaliser,
+  :func:`repro.simulator.phase_engine.finalize_planes`, which returns one
+  :class:`~repro.core.runner.TrialSummary` per trial with the global trial
+  counter as its ``seed`` — the record :func:`repro.engine.run_sweep` hands
+  on unchanged.
 
 This module collects the pieces the kernels share: the per-trial input/RNG
-setup, the live CONGEST payload-size table, and the batched
-agreement/validity finaliser.
+setup, the live CONGEST payload-size table and the finaliser.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
-from repro.core.parameters import validate_n_t
-from repro.exceptions import ConfigurationError
 from repro.simulator.bitplanes import row_popcount
-from repro.simulator.phase_engine import finalize_planes as evaluate_planes
 from repro.simulator.messages import (
     CoinShare,
     CombinedAnnouncement,
@@ -37,24 +31,14 @@ from repro.simulator.messages import (
     SampleRequest,
     ValueAnnouncement,
 )
-from repro.simulator.vectorized import (
-    VectorizedAggregate,
-    VectorizedRunResult,
-    aggregate_results,
-    trial_generator,
-    trial_inputs,
-)
+from repro.simulator.phase_engine import finalize_planes
+from repro.simulator.vectorized import batch_setup
 
 __all__ = [
     "PAYLOAD_BITS",
-    "VectorizedAggregate",
-    "VectorizedRunResult",
-    "aggregate_results",
     "batch_setup",
     "finalize_planes",
     "row_popcount",
-    "trial_generator",
-    "trial_inputs",
 ]
 
 #: CONGEST payload sizes (bits) by payload kind, derived from the live
@@ -71,88 +55,3 @@ PAYLOAD_BITS: dict[str, int] = {
         SampleReply(phase=1, value=0),
     )
 }
-
-
-def batch_setup(
-    n: int, inputs: str, trials: int, seed: int, trial_offset: int = 0
-) -> tuple[np.ndarray, list[np.random.Generator]]:
-    """Materialise the ``(B, n)`` input plane and the per-trial generators.
-
-    Trial ``k`` uses the Philox key ``(seed, trial_offset + k)`` and — exactly
-    as in the committee engine — consumes randomness from its generator only
-    for the ``random`` input pattern, so deterministic-input sweeps leave the
-    trial streams untouched for the protocol itself.  ``trial_offset`` lets a
-    shard worker run a contiguous sub-range of a larger sweep on the sweep's
-    global trial counters, keeping sharded execution bit-identical to the
-    single-batch run.
-    """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be positive, got {trials}")
-    rngs = [trial_generator(seed, trial_offset + k) for k in range(trials)]
-    rows = np.stack([trial_inputs(n, inputs, rng) for rng in rngs])
-    return rows, rngs
-
-
-def finalize_planes(
-    n: int,
-    t: int,
-    inputs: np.ndarray,
-    *,
-    output: np.ndarray,
-    corrupted: np.ndarray,
-    rounds: np.ndarray,
-    phases: np.ndarray,
-    messages: np.ndarray,
-    bits: np.ndarray,
-    timed_out: np.ndarray | None = None,
-) -> list[VectorizedRunResult]:
-    """Evaluate agreement/validity per trial and build the result list.
-
-    Mirrors the committee engine's finaliser: agreement and validity are
-    evaluated over the honest nodes' output plane, validity only binds when
-    the honest inputs were unanimous, and ``bits`` is passed explicitly
-    because the baselines use heterogeneous payload sizes (the committee
-    engine's flat 35-bit payload does not hold for king values, EIG reports
-    or sampling traffic).
-    """
-    validate_n_t(n, t)
-    evaluated = evaluate_planes(
-        n, t, inputs, output=output, corrupted=corrupted,
-        messages=messages, timed_out=timed_out,
-    )
-    results = []
-    for b in range(inputs.shape[0]):
-        agrees = bool(evaluated["agreement"][b])
-        decision: int | None = None
-        if agrees and evaluated["has_honest"][b]:
-            decision = 1 if evaluated["out_ones"][b] else 0
-        results.append(
-            VectorizedRunResult(
-                n=n,
-                t=t,
-                rounds=int(rounds[b]),
-                phases=int(phases[b]),
-                agreement=agrees,
-                validity=bool(evaluated["validity"][b]),
-                decision=decision,
-                corrupted=int(evaluated["corrupted_count"][b]),
-                messages=int(messages[b]),
-                bits=int(bits[b]),
-                timed_out=bool(evaluated["timed_out"][b]),
-            )
-        )
-    return results
-
-
-def aggregate(
-    n: int,
-    t: int,
-    protocol: str,
-    adversary: str,
-    results: Sequence[VectorizedRunResult],
-) -> VectorizedAggregate:
-    """Fold per-trial results into an aggregate carrying the trial tuple."""
-    import dataclasses
-
-    folded = aggregate_results(n, t, protocol, adversary, results)
-    return dataclasses.replace(folded, results=tuple(results))

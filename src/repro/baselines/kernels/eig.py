@@ -43,13 +43,12 @@ from repro.adversary.kernels.capabilities import CORRUPT_STATIC
 from repro.baselines.eig import EIGNode
 from repro.baselines.kernels.common import (
     PAYLOAD_BITS,
-    VectorizedAggregate,
-    aggregate,
     batch_setup,
     finalize_planes,
     row_popcount,
 )
 from repro.core.parameters import validate_n_t
+from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
 
 #: Adversary hook surface this kernel implements: up-front corruption only
@@ -87,7 +86,7 @@ def run_eig_trials(
     trials: int = 10,
     seed: int = 0,
     trial_offset: int = 0,
-) -> VectorizedAggregate:
+) -> list[TrialSummary]:
     """Run ``trials`` batched executions of EIG (``t < n/3``, ``t + 1`` rounds)."""
     validate_n_t(n, t)
     kernel_class = ADVERSARY_PLANE_KERNELS.get(adversary)
@@ -137,9 +136,7 @@ def run_eig_trials(
         total_bits += crafted * crafted_bits
 
     corrupted = np.tile(corrupted_cols, (batch, 1))
-    results = finalize_planes(
-        n,
-        t,
+    return finalize_planes(
         input_rows,
         output=output,
         corrupted=corrupted,
@@ -147,5 +144,5 @@ def run_eig_trials(
         phases=np.full(batch, math.ceil(num_rounds / 2), dtype=np.int64),
         messages=np.full(batch, total_messages, dtype=np.int64),
         bits=np.full(batch, total_bits, dtype=np.int64),
+        trial_offset=trial_offset,
     )
-    return aggregate(n, t, "eig", adversary, results)

@@ -44,20 +44,18 @@ from repro.adversary.kernels.capabilities import (
 )
 from repro.baselines.kernels.common import (
     PAYLOAD_BITS,
-    VectorizedAggregate,
-    aggregate,
     batch_setup,
     finalize_planes,
     row_popcount,
 )
 from repro.core.parameters import ProtocolParameters, Regime, validate_n_t
+from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
-from repro.simulator.planes import PlaneBackend, resolve_backend
+from repro.simulator.planes import PlaneBackend, pack_bools, resolve_backend
 from repro.topology.counting import (
     AdjacencyCounter,
     DenseDeliveredChannel,
     PackedDeliveredChannel,
-    pack_sender_words,
     word_width,
 )
 from repro.topology.generators import validate_adjacency
@@ -98,7 +96,7 @@ def run_phase_king_trials(
     adjacency: np.ndarray | None = None,
     loss: float = 0.0,
     backend: str | PlaneBackend | None = None,
-) -> VectorizedAggregate:
+) -> list[TrialSummary]:
     """Run ``trials`` batched executions of phase king (``n > 4t``).
 
     With an ``adjacency`` mask or positive ``loss`` the round-1 tallies and
@@ -205,9 +203,9 @@ def run_phase_king_trials(
                 # Word channel: tally `active` and its value-1 part; the
                 # value-0 part is the exact-integer difference (the sender
                 # sets partition `active`).
-                recv_active = chan1.receive_counts_words(pack_sender_words(active, n))
+                recv_active = chan1.receive_counts_words(pack_bools(active, n))
                 ones_recv = chan1.receive_counts_words(
-                    pack_sender_words(value & active, n)
+                    pack_bools(value & active, n)
                 )
                 zeros_recv = recv_active - ones_recv
             else:
@@ -269,9 +267,7 @@ def run_phase_king_trials(
 
     rounds = np.full(batch, 2 * num_phases, dtype=np.int64)
     phases = np.full(batch, num_phases, dtype=np.int64)
-    results = finalize_planes(
-        n,
-        t,
+    return finalize_planes(
         input_rows,
         output=value,
         corrupted=corrupted,
@@ -279,5 +275,5 @@ def run_phase_king_trials(
         phases=phases,
         messages=messages,
         bits=bits,
+        trial_offset=trial_offset,
     )
-    return aggregate(n, t, "phase-king", adversary, results)

@@ -13,15 +13,11 @@ the honest share draws, so cross-validation is statistical.
 
 from __future__ import annotations
 
-from repro.baselines.kernels.common import (
-    VectorizedAggregate,
-    aggregate,
-    batch_setup,
-    finalize_planes,
-)
+from repro.baselines.kernels.common import batch_setup, finalize_planes
 from repro.baselines.kernels.phase_skeleton import run_phase_skeleton_batch
 from repro.baselines.rabin import rabin_parameters
 from repro.core.parameters import validate_n_t
+from repro.core.runner import TrialSummary
 
 
 def run_rabin_trials(
@@ -37,7 +33,7 @@ def run_rabin_trials(
     adjacency=None,
     loss: float = 0.0,
     backend: str | None = None,
-) -> VectorizedAggregate:
+) -> list[TrialSummary]:
     """Run ``trials`` batched executions of Rabin's protocol.
 
     Mirrors :func:`repro.simulator.vectorized.run_vectorized_trials`: trial
@@ -66,16 +62,4 @@ def run_rabin_trials(
         loss=loss,
         backend=backend,
     )
-    results = finalize_planes(
-        n,
-        t,
-        input_rows,
-        output=state["output"],
-        corrupted=state["corrupted"],
-        rounds=state["rounds"],
-        phases=state["phases"],
-        messages=state["messages"],
-        bits=state["bits"],
-        timed_out=state["timed_out"],
-    )
-    return aggregate(n, t, "rabin", adversary, results)
+    return finalize_planes(input_rows, trial_offset=trial_offset, **state)

@@ -42,12 +42,11 @@ from repro.adversary.kernels.capabilities import (
 )
 from repro.baselines.kernels.common import (
     PAYLOAD_BITS,
-    VectorizedAggregate,
-    aggregate,
     batch_setup,
     finalize_planes,
 )
 from repro.core.parameters import validate_n_t
+from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
 
 #: Adversary hook surface this kernel implements: up-front corruption plus
@@ -72,7 +71,7 @@ def run_sampling_majority_trials(
     iterations_factor: float = 2.0,
     sample_size: int = 2,
     trial_offset: int = 0,
-) -> VectorizedAggregate:
+) -> list[TrialSummary]:
     """Run ``trials`` batched executions of the sampling-majority process."""
     validate_n_t(n, t)
     kernel_class = ADVERSARY_PLANE_KERNELS.get(adversary)
@@ -132,9 +131,7 @@ def run_sampling_majority_trials(
             bits += crafted * payload_bits
 
     corrupted = np.tile(corrupted_cols, (batch, 1))
-    results = finalize_planes(
-        n,
-        t,
+    return finalize_planes(
         input_rows,
         output=value,
         corrupted=corrupted,
@@ -142,5 +139,5 @@ def run_sampling_majority_trials(
         phases=np.full(batch, num_iterations, dtype=np.int64),
         messages=messages,
         bits=bits,
+        trial_offset=trial_offset,
     )
-    return aggregate(n, t, "sampling-majority", adversary, results)

@@ -114,7 +114,6 @@ from repro.observability import (
 from repro.simulator.planes import (
     DEFAULT_BACKEND,
     ENV_VAR,
-    accelerator_status,
     available_backends,
 )
 from repro.topology import TOPOLOGIES
@@ -394,14 +393,8 @@ def _command_engines(args: argparse.Namespace) -> int:
     print(format_table(kernel_support_table()))
     print("\nprotocol x adversary dispatch (--engine auto):")
     print(format_table(dispatch_table()))
-    # Runtime registry lines (not part of the drift-guarded markdown blocks:
-    # optional accelerator backends vary by installed toolchain).  Guarded
-    # accelerator slots are reported either way — "registered" or the reason
-    # they stayed out — instead of silently omitting unavailable backends.
     print(f"\nplane backends available: {', '.join(available_backends())} "
           f"(default {DEFAULT_BACKEND}; select with --backend or ${ENV_VAR})")
-    for slot, status in sorted(accelerator_status().items()):
-        print(f"  accelerator slot {slot}: {status}")
     return 0
 
 

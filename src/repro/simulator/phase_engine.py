@@ -20,7 +20,9 @@ and the baselines' ``run_phase_skeleton_batch``:
   replaced;
 * CONGEST message accounting (honest broadcasts engine-side, adversary
   traffic kernel-side) and flush-phase / bounded-exhaustion termination;
-* the batched agreement/validity finaliser (:func:`finalize_planes`).
+* the batched finaliser (:func:`finalize_planes`), which evaluates
+  agreement/validity and emits the sweep's
+  :class:`~repro.core.runner.TrialSummary` rows.
 
 What distinguishes the protocols is reduced to configuration: the *coin
 source* (``"committee"``: sign of the designated committee's share sum,
@@ -77,6 +79,7 @@ import numpy as np
 
 from repro.adversary.kernels.base import AdversaryKernel, KernelContext
 from repro.core.parameters import ProtocolParameters
+from repro.core.runner import TrialSummary
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 from repro.simulator.bitplanes import row_popcount
@@ -234,21 +237,25 @@ def committee_coin(share_sum: np.ndarray, adjustment: np.ndarray) -> np.ndarray:
 
 
 def finalize_planes(
-    n: int,
-    t: int,
     inputs: np.ndarray,
     *,
     output: np.ndarray,
     corrupted: np.ndarray,
+    rounds: np.ndarray,
+    phases: np.ndarray,
     messages: np.ndarray,
+    bits: np.ndarray,
     timed_out: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Evaluate agreement/validity per trial over the honest output plane.
+    trial_offset: int = 0,
+) -> list[TrialSummary]:
+    """Evaluate the final planes into one :class:`TrialSummary` per trial.
 
     Agreement holds when the honest outputs are unanimous; validity binds
-    only when the honest *inputs* were unanimous.  Returns the per-trial
-    evaluation arrays (the protocol kernels wrap them into their result
-    dataclasses, attaching protocol-specific round/bit accounting).
+    only when the honest *inputs* were unanimous.  Row ``b`` is trial
+    ``trial_offset + b`` of the sweep and records that global counter as its
+    ``seed``.  ``bits`` is passed explicitly because the protocols' payload
+    sizes differ (king values, EIG reports and sampling traffic are not the
+    two-round phase's flat announcement).
     """
     batch = inputs.shape[0]
     honest = ~corrupted
@@ -262,17 +269,25 @@ def finalize_planes(
     validity = np.ones(batch, dtype=bool)
     validity[unanimous_1] = out_ones[unanimous_1] == honest_count[unanimous_1]
     validity[unanimous_0] = out_ones[unanimous_0] == 0
+    decision = [
+        (1 if ones else 0) if decided else None
+        for decided, ones in zip((agreement & has_honest).tolist(), out_ones.tolist())
+    ]
     if timed_out is None:
         timed_out = np.zeros(batch, dtype=bool)
-    return {
-        "agreement": agreement,
-        "validity": validity,
-        "has_honest": has_honest,
-        "out_ones": out_ones,
-        "corrupted_count": row_popcount(corrupted),
-        "messages": messages,
-        "timed_out": timed_out,
-    }
+    columns = zip(
+        rounds.tolist(),
+        phases.tolist(),
+        agreement.tolist(),
+        validity.tolist(),
+        decision,
+        messages.tolist(),
+        bits.tolist(),
+        row_popcount(corrupted).tolist(),
+        timed_out.tolist(),
+    )
+    # Positional, in TrialSummary field order after the leading seed.
+    return [TrialSummary(trial_offset + b, *row) for b, row in enumerate(columns)]
 
 
 @dataclass

@@ -3,8 +3,8 @@
 The :class:`~repro.simulator.phase_engine.PhaseEngine` runs its ``(B, n)``
 boolean state planes through the op contract of
 :mod:`repro.simulator.planes.base`; *which representation* executes the ops
-is a registry lookup here — the ``CyScheduler``/``PyScheduler`` switch
-idiom.  Registered by default:
+is a lookup in a fixed registry here — the ``CyScheduler``/``PyScheduler``
+switch idiom.  There are two backends:
 
 ``numpy``
     The reference backend: planes are the boolean arrays themselves and
@@ -16,11 +16,6 @@ idiom.  Registered by default:
     the adversary-hook boundary (:mod:`repro.simulator.planes.packed`).
     Bit-identical to ``numpy`` by construction — tallies are exact and no
     randomness flows through a plane — just faster.
-
-Accelerator backends (Numba today; the registry is open for CuPy or Cython
-words) self-register from :mod:`repro.simulator.planes.accel` only when
-their import succeeds, so the container's baked-in toolchain is never a
-hard dependency.
 
 Selection order, loosest binding first:
 
@@ -59,11 +54,9 @@ __all__ = [
     "PackedPlane",
     "Plane",
     "PlaneBackend",
-    "accelerator_status",
     "available_backends",
     "get_backend",
     "pack_bools",
-    "register_backend",
     "resolve_backend",
     "unpack_words",
 ]
@@ -74,26 +67,13 @@ ENV_VAR = "REPRO_PLANE_BACKEND"
 #: The library default (the reference implementation).
 DEFAULT_BACKEND = "numpy"
 
-_REGISTRY: dict[str, PlaneBackend] = {}
-
-
-def register_backend(backend: PlaneBackend, *, replace: bool = False) -> PlaneBackend:
-    """Register a backend instance under its ``name``.
-
-    Third-party / accelerator backends call this at import time; ``replace``
-    guards against accidentally shadowing a built-in.
-    """
-    if backend.name in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"plane backend {backend.name!r} is already registered; "
-            "pass replace=True to override it"
-        )
-    _REGISTRY[backend.name] = backend
-    return backend
+_REGISTRY: dict[str, PlaneBackend] = {
+    backend.name: backend for backend in (NumpyBoolBackend(), PackedBackend())
+}
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
+    """Backend names, sorted."""
     return tuple(sorted(_REGISTRY))
 
 
@@ -115,13 +95,3 @@ def resolve_backend(choice: str | PlaneBackend | None = None) -> PlaneBackend:
     if choice is None:
         choice = os.environ.get(ENV_VAR, "").strip() or DEFAULT_BACKEND
     return get_backend(choice)
-
-
-register_backend(NumpyBoolBackend())
-register_backend(PackedBackend())
-
-# Optional accelerator backends (registered only when importable).
-from repro.simulator.planes import accel as _accel  # noqa: E402
-from repro.simulator.planes.accel import accelerator_status  # noqa: E402
-
-_accel.register_available(register_backend)

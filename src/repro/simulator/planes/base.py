@@ -10,8 +10,8 @@ backend drop-in:
 * **Exactness.**  Every tally returns exact ``int64`` counts and every
   in-place update implements the same boolean algebra as the reference
   NumPy-bool backend.  Randomness never flows through a plane, so a backend
-  can never perturb the engine's Philox streams — which is why all
-  registered backends are *bit-identical*, not statistically equivalent,
+  can never perturb the engine's Philox streams — which is why the
+  backends are *bit-identical*, not statistically equivalent,
   and why the sweep results store keys cached points by engine family
   without a backend component.
 * **Live bool views.**  :meth:`Plane.bools` returns a ``(B, n)`` boolean

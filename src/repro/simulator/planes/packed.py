@@ -253,9 +253,6 @@ class PackedBackend(PlaneBackend):
     name = "packed"
     packed_words = True
 
-    #: Plane class hook: accelerator backends substitute a subclass.
-    plane_class: type[PackedPlane] = PackedPlane
-
     def from_bools(self, array: np.ndarray) -> PackedPlane:
         # Adopt the array as the bool mirror; words pack lazily on first op.
-        return self.plane_class(array.shape[1], bools=array)
+        return PackedPlane(array.shape[1], bools=array)

@@ -32,9 +32,8 @@ cross-validated against the object simulator statistically.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +50,7 @@ from repro.adversary.kernels.capabilities import (
 )
 from repro.core.inputs import input_row
 from repro.core.parameters import ProtocolParameters, validate_n_t
+from repro.core.runner import TrialSummary, protocol_parameters
 from repro.exceptions import ConfigurationError
 from repro.simulator.phase_engine import PhaseEngine, finalize_planes
 
@@ -80,23 +80,6 @@ COMMITTEE_ENGINE_HOOKS = frozenset(
         RNG,
     }
 )
-
-
-@dataclass(frozen=True)
-class VectorizedRunResult:
-    """Outcome of one vectorised execution."""
-
-    n: int
-    t: int
-    rounds: int
-    phases: int
-    agreement: bool
-    validity: bool
-    decision: int | None
-    corrupted: int
-    messages: int
-    bits: int
-    timed_out: bool
 
 
 @dataclass
@@ -145,8 +128,14 @@ class VectorizedAgreementSimulator:
             self.max_phases = 2 * self.t + 50 * max(1, int(math.log2(max(2, self.n)))) + 50
 
     # ------------------------------------------------------------------
-    def run(self, inputs: np.ndarray, rng: np.random.Generator) -> VectorizedRunResult:
-        """Execute the protocol on ``inputs`` using randomness from ``rng``."""
+    def run(
+        self, inputs: np.ndarray, rng: np.random.Generator, trial: int = 0
+    ) -> TrialSummary:
+        """Execute trial ``trial`` of a sweep on ``inputs`` with randomness from ``rng``.
+
+        ``trial`` is the trial's global counter, recorded as the summary's
+        ``seed`` exactly as :meth:`run_batch` records it.
+        """
         n, t = self.n, self.t
         if inputs.shape != (n,):
             raise ConfigurationError(f"inputs must have shape ({n},), got {inputs.shape}")
@@ -158,7 +147,7 @@ class VectorizedAgreementSimulator:
             # The newer behaviours and the masked communication planes are
             # implemented only once, in the batched path; a single trial is
             # just a batch of one.
-            return self.run_batch(inputs[None, :], [rng])[0]
+            return self.run_batch(inputs[None, :], [rng], trial_offset=trial)[0]
         committee_size = self.params.committee_size
         num_committees = max(1, math.ceil(n / committee_size))
         phase_cap = self.max_phases if self.las_vegas else self.params.num_phases
@@ -298,17 +287,16 @@ class VectorizedAgreementSimulator:
         validity = True
         if len(honest_input_values) == 1 and outputs.size:
             validity = bool(np.all(outputs == honest_input_values[0]))
-        return VectorizedRunResult(
-            n=n,
-            t=t,
+        return TrialSummary(
+            seed=trial,
             rounds=rounds,
             phases=phases,
             agreement=agreement,
             validity=validity,
             decision=decision,
-            corrupted=int(corrupted.sum()),
             messages=messages,
             bits=messages * _ROUND_PAYLOAD_BITS,
+            corrupted=int(corrupted.sum()),
             timed_out=timed_out,
         )
 
@@ -316,8 +304,11 @@ class VectorizedAgreementSimulator:
     # Batched execution
     # ------------------------------------------------------------------
     def run_batch(
-        self, inputs: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> list[VectorizedRunResult]:
+        self,
+        inputs: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        trial_offset: int = 0,
+    ) -> list[TrialSummary]:
         """Execute a whole batch of ``B`` independent trials simultaneously.
 
         Args:
@@ -326,7 +317,10 @@ class VectorizedAgreementSimulator:
                 from ``rngs[b]`` in exactly the same order as a single-trial
                 :meth:`run` call, so for the ``none`` and ``straddle``
                 behaviours the per-trial results are bit-for-bit identical to
-                ``[self.run(inputs[b], rngs[b]) for b in range(B)]``.
+                ``[self.run(inputs[b], rngs[b], trial_offset + b) for b in
+                range(B)]``.
+            trial_offset: Global counter of row 0; row ``b`` is recorded as
+                trial ``trial_offset + b``.
 
         The batch runs on the shared hook-driven
         :class:`~repro.simulator.phase_engine.PhaseEngine` with the committee
@@ -334,7 +328,8 @@ class VectorizedAgreementSimulator:
         are independent of how trials are batched together.
 
         Returns:
-            One :class:`VectorizedRunResult` per trial, in batch order.
+            One :class:`~repro.core.runner.TrialSummary` per trial, in batch
+            order (:func:`~repro.simulator.phase_engine.finalize_planes`).
         """
         inputs = np.asarray(inputs, dtype=np.int8)
         if inputs.ndim != 2 or inputs.shape[1] != self.n:
@@ -364,82 +359,21 @@ class VectorizedAgreementSimulator:
             backend=self.backend,
         )
         state = engine.run_batch(inputs, rngs, kernel)
-        evaluated = finalize_planes(
-            self.n,
-            self.t,
+        return finalize_planes(
             inputs,
-            output=state["output"],
-            corrupted=state["corrupted"],
-            messages=state["messages"],
-            timed_out=state["timed_out"],
+            bits=state["messages"] * _ROUND_PAYLOAD_BITS,
+            trial_offset=trial_offset,
+            **state,
         )
-        results = []
-        for b in range(inputs.shape[0]):
-            agrees = bool(evaluated["agreement"][b])
-            decision: int | None = None
-            if agrees and evaluated["has_honest"][b]:
-                decision = 1 if evaluated["out_ones"][b] else 0
-            results.append(
-                VectorizedRunResult(
-                    n=self.n,
-                    t=self.t,
-                    rounds=int(state["rounds"][b]),
-                    phases=int(state["phases"][b]),
-                    agreement=agrees,
-                    validity=bool(evaluated["validity"][b]),
-                    decision=decision,
-                    corrupted=int(evaluated["corrupted_count"][b]),
-                    messages=int(state["messages"][b]),
-                    bits=int(state["messages"][b]) * _ROUND_PAYLOAD_BITS,
-                    timed_out=bool(state["timed_out"][b]),
-                )
-            )
-        return results
 
 
 # ----------------------------------------------------------------------
 # Convenience sweep API used by the benchmarks
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class VectorizedAggregate:
-    """Aggregate statistics over several vectorised trials.
-
-    ``results`` carries the per-trial outcomes (in trial order) so callers can
-    inspect distributions, not just the aggregate.
-    """
-
-    n: int
-    t: int
-    protocol: str
-    adversary: str
-    trials: int
-    mean_rounds: float
-    mean_phases: float
-    max_rounds: int
-    mean_messages: float
-    agreement_rate: float
-    validity_rate: float
-    mean_corrupted: float
-    results: tuple[VectorizedRunResult, ...] = field(default=(), repr=False)
-
-
-def _parameters_for(protocol: str, n: int, t: int, alpha: float) -> ProtocolParameters:
-    """Committee geometry via the runner's shared resolver.
-
-    Delegates to :func:`repro.core.runner.protocol_parameters` (the single
-    source of truth for alpha/committee sizing) after gating on the
-    protocols this engine implements.
-    """
-    if protocol not in (
-        "committee-ba", "committee-ba-las-vegas", "chor-coan", "chor-coan-las-vegas"
-    ):
-        raise ConfigurationError(
-            "the vectorized engine supports the committee-ba and chor-coan protocols, "
-            f"got {protocol!r}"
-        )
-    from repro.core.runner import protocol_parameters
-
-    return protocol_parameters(protocol, n, t, {"alpha": alpha})
+#: The committee-family protocols this engine implements.
+COMMITTEE_PROTOCOLS = (
+    "committee-ba", "committee-ba-las-vegas", "chor-coan", "chor-coan-las-vegas"
+)
 
 
 def trial_generator(seed: int, k: int) -> np.random.Generator:
@@ -452,38 +386,23 @@ def _trial_inputs(n: int, inputs: str, rng: np.random.Generator) -> np.ndarray:
     return input_row(n, inputs, rng)
 
 
-#: Public alias used by the baseline kernels (:mod:`repro.baselines.kernels`).
-trial_inputs = _trial_inputs
+def batch_setup(
+    n: int, inputs: str, trials: int, seed: int, trial_offset: int = 0
+) -> tuple[np.ndarray, list[np.random.Generator]]:
+    """Materialise the ``(B, n)`` input plane and the per-trial generators.
 
-
-def _aggregate(
-    n: int,
-    t: int,
-    protocol: str,
-    adversary: str,
-    results: Sequence[VectorizedRunResult],
-) -> VectorizedAggregate:
-    """Fold per-trial results into a :class:`VectorizedAggregate`."""
-    trials = len(results)
-    rounds = [result.rounds for result in results]
-    return VectorizedAggregate(
-        n=n,
-        t=t,
-        protocol=protocol,
-        adversary=adversary,
-        trials=trials,
-        mean_rounds=float(np.mean(rounds)),
-        mean_phases=float(np.mean([result.phases for result in results])),
-        max_rounds=int(np.max(rounds)),
-        mean_messages=float(np.mean([result.messages for result in results])),
-        agreement_rate=sum(result.agreement for result in results) / trials,
-        validity_rate=sum(result.validity for result in results) / trials,
-        mean_corrupted=float(np.mean([result.corrupted for result in results])),
-    )
-
-
-#: Public alias used by the baseline kernels (:mod:`repro.baselines.kernels`).
-aggregate_results = _aggregate
+    Trial ``k`` uses the Philox key ``(seed, trial_offset + k)`` and consumes
+    randomness from its generator only for the ``random`` input pattern, so
+    deterministic-input sweeps leave the trial streams untouched for the
+    protocol itself.  ``trial_offset`` lets a shard worker run a contiguous
+    sub-range of a larger sweep on the sweep's global trial counters, keeping
+    sharded execution bit-identical to the single-batch run.
+    """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be positive, got {trials}")
+    rngs = [trial_generator(seed, trial_offset + k) for k in range(trials)]
+    rows = np.stack([_trial_inputs(n, inputs, rng) for rng in rngs])
+    return rows, rngs
 
 
 def build_vectorized_simulator(
@@ -498,16 +417,19 @@ def build_vectorized_simulator(
     loss: float = 0.0,
     backend: str | None = None,
 ) -> VectorizedAgreementSimulator:
-    """Construct the vectorised simulator for a named protocol configuration."""
-    if params is None:
-        params = _parameters_for(protocol, n, t, alpha)
-    elif protocol not in (
-        "committee-ba", "committee-ba-las-vegas", "chor-coan", "chor-coan-las-vegas"
-    ):
+    """Construct the vectorised simulator for a named protocol configuration.
+
+    Without ``params`` the committee geometry comes from
+    :func:`repro.core.runner.protocol_parameters`, the single source of truth
+    for alpha/committee sizing.
+    """
+    if protocol not in COMMITTEE_PROTOCOLS:
         raise ConfigurationError(
             "the vectorized engine supports the committee-ba and chor-coan protocols, "
             f"got {protocol!r}"
         )
+    if params is None:
+        params = protocol_parameters(protocol, n, t, {"alpha": alpha})
     return VectorizedAgreementSimulator(
         n=n, t=t, params=params, adversary=adversary,
         las_vegas=protocol.endswith("las-vegas"),
@@ -526,38 +448,25 @@ def run_vectorized_trials(
     seed: int = 0,
     alpha: float = 4.0,
     params: ProtocolParameters | None = None,
-    batch: bool = True,
     trial_offset: int = 0,
     adjacency: np.ndarray | None = None,
     loss: float = 0.0,
     backend: str | None = None,
-) -> VectorizedAggregate:
-    """Run several vectorised trials and aggregate them.
+) -> list[TrialSummary]:
+    """Run several vectorised trials as one :meth:`run_batch` call.
 
     Mirrors :func:`repro.core.runner.run_trials` closely enough that benchmark
     code can switch between the two engines by network size.  Trial ``k`` uses
-    the counter-based Philox key ``(seed, trial_offset + k)``, so a sweep of
-    ``T`` trials can be split into contiguous sub-batches (each worker passing
-    its range start as ``trial_offset``) whose concatenated results are
-    bit-identical to the single-batch run — the contract the ``vectorized-mp``
-    sharded executor of :mod:`repro.engine` relies on.
-
-    By default the whole sweep executes as one :meth:`run_batch` call on
-    ``(trials, n)`` arrays; ``batch=False`` falls back to the per-trial loop
-    (same results bit-for-bit — kept for cross-validation and as the
-    benchmark baseline).
+    the counter-based Philox key ``(seed, trial_offset + k)`` and is recorded
+    with ``seed == trial_offset + k``, so a sweep of ``T`` trials can be split
+    into contiguous sub-batches (each worker passing its range start as
+    ``trial_offset``) whose concatenated results are bit-identical to the
+    single-batch run — the contract the ``vectorized-mp`` sharded executor of
+    :mod:`repro.engine` relies on.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be positive, got {trials}")
     simulator = build_vectorized_simulator(
         n, t, protocol=protocol, adversary=adversary, alpha=alpha, params=params,
         adjacency=adjacency, loss=loss, backend=backend,
     )
-    rngs = [trial_generator(seed, trial_offset + k) for k in range(trials)]
-    input_rows = np.stack([_trial_inputs(n, inputs, rng) for rng in rngs])
-    if batch:
-        results: Sequence[VectorizedRunResult] = simulator.run_batch(input_rows, rngs)
-    else:
-        results = [simulator.run(input_rows[k], rngs[k]) for k in range(trials)]
-    aggregate = _aggregate(n, t, protocol, adversary, results)
-    return dataclasses.replace(aggregate, results=tuple(results))
+    input_rows, rngs = batch_setup(n, inputs, trials, seed, trial_offset)
+    return simulator.run_batch(input_rows, rngs, trial_offset=trial_offset)

@@ -17,7 +17,8 @@ AND+popcount over uint64 words:
 * **dense** — the middle of the density range (``erdos-renyi`` at density
   ~0.5) on the boolean backend: the float32 sgemm;
 * **packed** — the same middle band when the plane backend holds
-  ``pack_bools``-layout uint64 words (``backend.packed_words``): a
+  :func:`~repro.simulator.planes.packed.pack_bools`-layout uint64 words
+  (``backend.packed_words``): a
   :class:`MaskedCounter` computing ``popcount(sent_words &
   incoming_words[recipient])`` directly on the words, skipping the bool
   unpack and the float32 cast entirely.
@@ -55,6 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.observability.tracer import current_tracer
+from repro.simulator.planes.packed import pack_bools
 
 #: A segment-sum pass costs one gathered add per stored edge, against the
 #: sgemm's two fused flops per matrix cell — but BLAS throughput per cell
@@ -67,23 +69,6 @@ _SEGMENT_FRACTION = 8
 def word_width(n: int) -> int:
     """uint64 words per ``n``-node bit row (``ceil(n / 64)``, at least 1)."""
     return max(1, -(-n // 64))
-
-
-def pack_sender_words(array: np.ndarray, n: int) -> np.ndarray:
-    """Pack a ``(B, n)`` boolean sender plane into ``(B, ceil(n/64))`` words.
-
-    Same layout as :func:`repro.simulator.planes.packed.pack_bools`
-    (``np.packbits`` MSB-first bytes, zero-padded to whole little-endian
-    uint64 words) — duplicated here so the topology layer does not depend
-    on the simulator package; ``tests/test_planes.py`` pins the two to byte
-    identity.
-    """
-    batch = array.shape[0]
-    width = word_width(n)
-    buffer = np.zeros((batch, width * 8), dtype=np.uint8)
-    if n:
-        buffer[:, : (n + 7) // 8] = np.packbits(array, axis=1)
-    return buffer.view(np.uint64)
 
 
 class MaskedCounter:
@@ -172,7 +157,7 @@ class AdjacencyCounter:
             self.strategy = "packed"
             # Row i packs column i of the mask: the senders reaching i.
             self._masked = MaskedCounter(
-                pack_sender_words(np.ascontiguousarray(adjacency.T), n), n
+                pack_bools(np.ascontiguousarray(adjacency.T), n), n
             )
         else:
             self.strategy = "dense"
@@ -202,7 +187,7 @@ class AdjacencyCounter:
         """
         if self.strategy == "packed":
             return self._masked.counts(
-                pack_sender_words(np.ascontiguousarray(sent, dtype=bool), self.n)
+                pack_bools(np.ascontiguousarray(sent, dtype=bool), self.n)
             )
         if self.strategy == "dense":
             current_tracer().count("masked_tally.sgemm")
@@ -228,8 +213,8 @@ class AdjacencyCounter:
         integers, so bit-identical to the arithmetic strategies.
         """
         if self.strategy == "packed":
-            plus = self._masked.counts(pack_sender_words(plane > 0, self.n))
-            minus = self._masked.counts(pack_sender_words(plane < 0, self.n))
+            plus = self._masked.counts(pack_bools(plane > 0, self.n))
+            minus = self._masked.counts(pack_bools(plane < 0, self.n))
             return plus - minus
         return self.receive_counts(plane)
 
@@ -285,20 +270,20 @@ class PackedDeliveredChannel:
 
     def receive_counts(self, sent: np.ndarray) -> np.ndarray:
         return self._masked.counts(
-            pack_sender_words(np.ascontiguousarray(sent, dtype=bool), self.n)
+            pack_bools(np.ascontiguousarray(sent, dtype=bool), self.n)
         )
 
     def receive_counts_words(self, sent_words: np.ndarray) -> np.ndarray:
         return self._masked.counts(sent_words)
 
     def signed_counts(self, plane: np.ndarray) -> np.ndarray:
-        plus = self._masked.counts(pack_sender_words(plane > 0, self.n))
-        minus = self._masked.counts(pack_sender_words(plane < 0, self.n))
+        plus = self._masked.counts(pack_bools(plane > 0, self.n))
+        minus = self._masked.counts(pack_bools(plane < 0, self.n))
         return plus - minus
 
     def delivered_edges(self, senders: np.ndarray) -> np.ndarray:
         return self.delivered_edges_words(
-            pack_sender_words(np.ascontiguousarray(senders, dtype=bool), self.n)
+            pack_bools(np.ascontiguousarray(senders, dtype=bool), self.n)
         )
 
     def delivered_edges_words(self, sent_words: np.ndarray) -> np.ndarray:

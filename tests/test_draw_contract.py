@@ -245,7 +245,9 @@ class TestRunBatchState:
         inputs = self._inputs(batch_rngs, n)
         assert np.array_equal(inputs, self._inputs(loop_rngs, n))
         batched = simulator.run_batch(inputs, batch_rngs)
-        looped = [simulator.run(inputs[k], loop_rngs[k]) for k in range(self.TRIALS)]
+        looped = [
+            simulator.run(inputs[k], loop_rngs[k], k) for k in range(self.TRIALS)
+        ]
         assert batched == looped
         assert RecordingBits.archived > 0
         for left, right in zip(batch_rngs, loop_rngs):

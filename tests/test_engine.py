@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.parameters import ProtocolParameters
-from repro.core.runner import AgreementExperiment, run_trials
+from repro.core.runner import AgreementExperiment, TrialsResult, run_trials
 from repro.engine import (
     ADVERSARY_FAST_PATH,
     PROTOCOL_KERNELS,
@@ -134,9 +134,11 @@ class TestRunSweep:
                           trials=6, base_seed=3)
         assert isinstance(sweep, SweepResult)
         assert sweep.engine == "vectorized"
-        direct = run_vectorized_trials(64, 12, protocol="committee-ba-las-vegas",
-                                       adversary="straddle", inputs="split",
-                                       trials=6, seed=3)
+        direct = TrialsResult(sweep.experiment, run_vectorized_trials(
+            64, 12, protocol="committee-ba-las-vegas", adversary="straddle",
+            inputs="split", trials=6, seed=3,
+        ))
+        assert sweep.trials == direct.trials
         assert sweep.mean_rounds == direct.mean_rounds
         assert sweep.mean_messages == direct.mean_messages
         assert sweep.agreement_rate == direct.agreement_rate
@@ -202,6 +204,55 @@ class TestRunSweep:
             run_sweep(19, 3, experiment=experiment, trials=3)
         with pytest.raises(ConfigurationError):
             run_sweep(19, 3, trials=0)
+
+
+#: One fast-path configuration per kernel entry: (adversary, n, t).  A new
+#: PROTOCOL_KERNELS entry without a row here fails the contract test below.
+_RECORD_CONTRACT_CASES = {
+    "committee-ba": ("coin-attack", 48, 8),
+    "committee-ba-las-vegas": ("coin-attack", 48, 8),
+    "chor-coan": ("static", 48, 8),
+    "chor-coan-las-vegas": ("crash", 48, 8),
+    "rabin": ("coin-attack", 25, 6),
+    "ben-or": ("static", 16, 2),
+    "phase-king": ("static", 21, 5),
+    "eig": ("static", 10, 2),
+    "sampling-majority": ("silent", 32, 1),
+}
+
+
+class TestKernelRecordContract:
+    """Every kernel returns one TrialSummary per trial on global counters."""
+
+    TRIALS, HEAD, OFFSET, SEED = 6, 4, 3, 7
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_KERNELS))
+    def test_records_split_label_and_match_run_sweep(self, protocol):
+        adversary, n, t = _RECORD_CONTRACT_CASES[protocol]
+        spec = PROTOCOL_KERNELS[protocol]
+        assert adversary in spec.behaviours and adversary not in spec.inapplicable
+
+        def kernel(trials, trial_offset):
+            return spec.run_trials(
+                n, t, adversary=spec.behaviours[adversary], inputs="split",
+                trials=trials, seed=self.SEED, trial_offset=trial_offset,
+            )
+
+        records = kernel(self.TRIALS, self.OFFSET)
+        head = kernel(self.HEAD, self.OFFSET)
+        tail = kernel(self.TRIALS - self.HEAD, self.OFFSET + self.HEAD)
+        assert records == head + tail
+        assert [record.seed for record in records] == list(
+            range(self.OFFSET, self.OFFSET + self.TRIALS)
+        )
+        for engine, workers in (("vectorized", None), ("vectorized-mp", 2)):
+            sweep = run_sweep(
+                n, t, protocol=protocol, adversary=adversary, inputs="split",
+                trials=self.TRIALS, base_seed=self.SEED, trial_offset=self.OFFSET,
+                engine=engine, workers=workers, allow_timeout=True,
+            )
+            assert sweep.engine == engine
+            assert sweep.trials == records, engine
 
 
 class TestDispatchTable:

@@ -16,10 +16,6 @@ tally is an exact integer either way.  Acceptance surfaces:
   a pure cache hit under the other (``point_key`` has no backend field);
 * **kernel identity**: the phase-king baseline kernel accepts the backend
   kwarg and is bit-identical across backends off-clique and under loss;
-* **word layout**: :func:`~repro.topology.counting.pack_sender_words` is
-  byte-identical to the simulator's :func:`~repro.simulator.planes.pack_bools`
-  (the two packers must never drift — packed planes are fed straight into
-  topology channels);
 * **tally unit behaviour**: :class:`~repro.topology.counting.MaskedCounter`
   and the packed :class:`~repro.topology.counting.AdjacencyCounter` strategy
   match the dense reference on ragged widths and signed (±1 share) planes.
@@ -36,12 +32,7 @@ from repro.simulator.planes import pack_bools
 from repro.simulator.vectorized import run_vectorized_trials
 from repro.sweeps import ResultsStore, SweepSpec, run_spec
 from repro.topology import TOPOLOGIES, build_topology
-from repro.topology.counting import (
-    AdjacencyCounter,
-    MaskedCounter,
-    pack_sender_words,
-    word_width,
-)
+from repro.topology.counting import AdjacencyCounter, MaskedCounter, word_width
 
 #: Every registered generator — the masked path must hold on all of them.
 ALL_TOPOLOGIES = tuple(sorted(TOPOLOGIES))
@@ -62,7 +53,7 @@ class TestEngineBitIdentity:
         )
         reference = run_vectorized_trials(24, 2, backend="numpy", **kwargs)
         packed = run_vectorized_trials(24, 2, backend="packed", **kwargs)
-        assert packed.results == reference.results
+        assert packed == reference
 
     def test_sharded_masked_lossy_sweep_matches_serial_numpy(self):
         kwargs = dict(
@@ -113,22 +104,7 @@ class TestPhaseKingKernelBackends:
         )
         reference = run_phase_king_trials(21, 5, backend="numpy", **kwargs)
         packed = run_phase_king_trials(21, 5, backend="packed", **kwargs)
-        assert packed.results == reference.results
-
-
-class TestWordLayout:
-    @pytest.mark.parametrize("n", (1, 63, 64, 65, 100, 128))
-    def test_pack_sender_words_is_byte_identical_to_pack_bools(self, n):
-        # counting.pack_sender_words duplicates the simulator's layout so
-        # the topology layer carries no import dependency on the planes
-        # package; this pin is what licenses feeding PackedPlane words
-        # straight into topology channels.
-        array = np.random.default_rng(n).random((5, n)) < 0.5
-        ours = pack_sender_words(array, n)
-        theirs = pack_bools(array, n)
-        assert ours.dtype == theirs.dtype == np.uint64
-        assert ours.shape == theirs.shape == (5, word_width(n))
-        np.testing.assert_array_equal(ours, theirs)
+        assert packed == reference
 
 
 class TestTallyUnits:
@@ -139,13 +115,13 @@ class TestTallyUnits:
         incoming = rng.random((batch, n, n)) < 0.6  # kept[b, j, i] layout
         words = np.zeros((batch, n, word_width(n)), dtype=np.uint64)
         for b in range(batch):
-            words[b] = pack_sender_words(incoming[b].T.copy(), n)
+            words[b] = pack_bools(incoming[b].T.copy(), n)
         sent = rng.random((batch, n)) < 0.5
         expected = np.einsum(
             "bj,bji->bi", sent.astype(np.int64), incoming.astype(np.int64)
         )
         counter = MaskedCounter(words, n)
-        got = counter.counts(pack_sender_words(sent, n))
+        got = counter.counts(pack_bools(sent, n))
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, expected)
 
@@ -164,11 +140,11 @@ class TestTallyUnits:
             packed.receive_counts(sent), dense.receive_counts(sent)
         )
         np.testing.assert_array_equal(
-            packed.receive_counts_words(pack_sender_words(sent, n)),
+            packed.receive_counts_words(pack_bools(sent, n)),
             dense.receive_counts(sent),
         )
         np.testing.assert_array_equal(
-            packed.delivered_edges_words(pack_sender_words(sent, n)),
+            packed.delivered_edges_words(pack_bools(sent, n)),
             dense.delivered_edges(sent),
         )
         shares = rng.integers(-1, 2, size=(5, n)).astype(np.int8)

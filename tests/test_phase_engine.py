@@ -240,7 +240,7 @@ class TestShardingContracts:
                                       trials=4, seed=9)
         rest = run_vectorized_trials(48, 8, adversary=adversary, inputs="split",
                                      trials=2, seed=9, trial_offset=4)
-        assert full.results == first.results + rest.results
+        assert full == first + rest
 
     @pytest.mark.parametrize(
         "protocol,adversary,n,t",

@@ -2,9 +2,9 @@
 
 Four acceptance surfaces:
 
-* the **registry**: built-in backends present, explicit > env > default
-  resolution, unknown names and duplicate registrations rejected;
-* **op equivalence**: every registered backend replays a scripted sequence
+* the **registry**: both backends present, explicit > env > default
+  resolution, unknown names rejected;
+* **op equivalence**: every backend replays a scripted sequence
   covering the whole :class:`~repro.simulator.planes.base.Plane` contract
   against the numpy-bool reference, over ragged widths (1, 63, 64, 65, ...),
   all-True/all-False planes, every mask shape the engine produces, row
@@ -25,16 +25,13 @@ import pytest
 from repro.cli import main
 from repro.engine import run_sweep
 from repro.exceptions import ConfigurationError
-from repro.simulator import planes as planes_module
 from repro.simulator.planes import (
     DEFAULT_BACKEND,
     ENV_VAR,
     PackedPlane,
-    PlaneBackend,
     available_backends,
     get_backend,
     pack_bools,
-    register_backend,
     resolve_backend,
     unpack_words,
 )
@@ -46,8 +43,8 @@ from repro.topology import build_topology
 WIDTHS = (1, 5, 63, 64, 65, 100, 128)
 BATCH = 7
 
-#: Every backend the registry knows at collection time is held to the same
-#: contract (numpy itself runs as the trivial case).
+#: Every backend is held to the same contract (numpy itself runs as the
+#: trivial case).
 BACKENDS = available_backends()
 
 
@@ -78,22 +75,6 @@ class TestRegistry:
         # Blank env falls back to the default rather than erroring.
         monkeypatch.setenv(ENV_VAR, "  ")
         assert resolve_backend().name == DEFAULT_BACKEND
-
-    def test_duplicate_registration_requires_replace(self):
-        class Dummy(PlaneBackend):
-            name = "test-dummy"
-
-            def from_bools(self, array):  # pragma: no cover - never called
-                raise NotImplementedError
-
-        try:
-            register_backend(Dummy())
-            assert "test-dummy" in available_backends()
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_backend(Dummy())
-            register_backend(Dummy(), replace=True)
-        finally:
-            planes_module._REGISTRY.pop("test-dummy", None)
 
 
 class TestPacking:
@@ -263,7 +244,7 @@ class TestEndToEndBitIdentity:
         reference = run_vectorized_trials(40, 5, **kwargs)
         monkeypatch.setenv(ENV_VAR, "packed")
         packed = run_vectorized_trials(40, 5, **kwargs)
-        assert packed.results == reference.results
+        assert packed == reference
 
     def test_masked_and_lossy_runs_honour_the_packed_request(self):
         # Off-clique and lossy runs route their tallies through the
@@ -279,7 +260,7 @@ class TestEndToEndBitIdentity:
             )
             reference = run_vectorized_trials(24, 2, **kwargs)
             packed = run_vectorized_trials(24, 2, backend="packed", **kwargs)
-            assert packed.results == reference.results
+            assert packed == reference
 
 
 class TestSweepStoreCaching:

@@ -379,7 +379,7 @@ class TestShardMerge:
         whole = run_vectorized_trials(48, 10, trials=8, **kwargs)
         head = run_vectorized_trials(48, 10, trials=5, trial_offset=0, **kwargs)
         tail = run_vectorized_trials(48, 10, trials=3, trial_offset=5, **kwargs)
-        assert head.results + tail.results == whole.results
+        assert head + tail == whole
 
     def test_auto_with_workers_picks_the_sharded_engine(self):
         result = run_sweep(19, 3, protocol="committee-ba", adversary="null",

@@ -138,7 +138,7 @@ class TestBitIdentityGuards:
             24, 2, protocol="committee-ba-las-vegas", adversary="straddle",
             trials=12, seed=5, adjacency=np.ones((24, 24), dtype=bool),
         )
-        _assert_identical(masked.results, base.results)
+        _assert_identical(masked, base)
 
     def test_explicit_clique_loss_zero_is_bit_identical_through_run_sweep(self):
         default = run_sweep(24, 2, protocol="committee-ba", adversary="static",
@@ -173,5 +173,4 @@ class TestBitIdentityGuards:
             )
             for offset in (0, 5)
         ]
-        merged = parts[0].results + parts[1].results
-        _assert_identical(whole.results, merged)
+        _assert_identical(whole, parts[0] + parts[1])

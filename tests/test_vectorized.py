@@ -7,14 +7,31 @@ import numpy as np
 import pytest
 
 from repro.core.parameters import ProtocolParameters
-from repro.core.runner import AgreementExperiment, run_trials
+from repro.core.runner import AgreementExperiment, TrialsResult, run_trials
 from repro.exceptions import ConfigurationError
 from repro.simulator.vectorized import (
     VECTORIZED_ADVERSARIES,
     VectorizedAgreementSimulator,
+    batch_setup,
+    build_vectorized_simulator,
     run_vectorized_trials,
     trial_generator,
 )
+
+
+def _vectorized(n, t, protocol="committee-ba-las-vegas", **kwargs) -> TrialsResult:
+    """A batched kernel call folded into the sweep aggregate."""
+    return TrialsResult(
+        experiment=AgreementExperiment(n=n, t=t, protocol=protocol),
+        trials=run_vectorized_trials(n, t, protocol=protocol, **kwargs),
+    )
+
+
+def _per_trial_loop(n, t, *, protocol, adversary, inputs, trials, seed):
+    """The same trials through the single-trial reference loop, one by one."""
+    simulator = build_vectorized_simulator(n, t, protocol=protocol, adversary=adversary)
+    input_rows, rngs = batch_setup(n, inputs, trials, seed)
+    return [simulator.run(input_rows[k], rngs[k], k) for k in range(trials)]
 
 
 def _simulator(n=64, t=8, adversary="straddle", las_vegas=True, alpha=4.0):
@@ -41,8 +58,8 @@ class TestVectorizedEngine:
             assert result.corrupted <= 8
 
     def test_rounds_grow_with_budget(self):
-        small = run_vectorized_trials(256, 5, trials=5, seed=1)
-        large = run_vectorized_trials(256, 40, trials=5, seed=1)
+        small = _vectorized(256, 5, trials=5, seed=1)
+        large = _vectorized(256, 40, trials=5, seed=1)
         assert large.mean_rounds > small.mean_rounds
 
     def test_adversary_mode_validation(self):
@@ -70,17 +87,17 @@ class TestVectorizedEngine:
         assert result.rounds == 2 * result.phases
 
     def test_message_counts_scale_with_n_squared(self):
-        small = run_vectorized_trials(64, 4, trials=3, seed=0, adversary="none",
-                                      inputs="unanimous-1")
-        large = run_vectorized_trials(256, 4, trials=3, seed=0, adversary="none",
-                                      inputs="unanimous-1")
+        small = _vectorized(64, 4, trials=3, seed=0, adversary="none",
+                            inputs="unanimous-1")
+        large = _vectorized(256, 4, trials=3, seed=0, adversary="none",
+                            inputs="unanimous-1")
         assert large.mean_messages > 10 * small.mean_messages
 
 
 class TestCrossValidation:
     def test_matches_object_simulator_on_failure_free_unanimous_runs(self):
-        vec = run_vectorized_trials(32, 5, adversary="none", inputs="unanimous-1",
-                                    trials=3, seed=0, protocol="committee-ba-las-vegas")
+        vec = _vectorized(32, 5, adversary="none", inputs="unanimous-1",
+                          trials=3, seed=0, protocol="committee-ba-las-vegas")
         obj = run_trials(
             AgreementExperiment(n=32, t=5, protocol="committee-ba-las-vegas",
                                 adversary="null", inputs="unanimous-1"),
@@ -93,9 +110,8 @@ class TestCrossValidation:
         # Same protocol, same adversary strategy, independent randomness: the
         # mean number of phases should agree within a generous tolerance.
         n, t, trials = 48, 8, 12
-        vec = run_vectorized_trials(n, t, adversary="straddle", inputs="split",
-                                    trials=trials, seed=3,
-                                    protocol="committee-ba-las-vegas")
+        vec = _vectorized(n, t, adversary="straddle", inputs="split",
+                          trials=trials, seed=3, protocol="committee-ba-las-vegas")
         obj = run_trials(
             AgreementExperiment(n=n, t=t, protocol="committee-ba-las-vegas",
                                 adversary="coin-attack", inputs="split"),
@@ -105,10 +121,10 @@ class TestCrossValidation:
         assert vec.mean_phases == pytest.approx(obj.mean_phases, rel=0.6, abs=4.0)
 
     def test_chor_coan_geometry_used_when_requested(self):
-        ours = run_vectorized_trials(1024, 24, protocol="committee-ba-las-vegas",
-                                     trials=4, seed=2)
-        chor_coan = run_vectorized_trials(1024, 24, protocol="chor-coan-las-vegas",
-                                          trials=4, seed=2)
+        ours = _vectorized(1024, 24, protocol="committee-ba-las-vegas",
+                           trials=4, seed=2)
+        chor_coan = _vectorized(1024, 24, protocol="chor-coan-las-vegas",
+                                trials=4, seed=2)
         # Larger committees make each straddle more expensive, so the paper's
         # protocol should finish in no more rounds than Chor-Coan here.
         assert ours.mean_rounds <= chor_coan.mean_rounds + 2
@@ -126,13 +142,13 @@ class TestBatchedEngine:
         for inputs in ("split", "random", "unanimous-0", "unanimous-1"):
             batched = run_vectorized_trials(
                 96, 18, protocol=protocol, adversary=adversary, inputs=inputs,
-                trials=6, seed=42, batch=True,
+                trials=6, seed=42,
             )
-            loop = run_vectorized_trials(
+            loop = _per_trial_loop(
                 96, 18, protocol=protocol, adversary=adversary, inputs=inputs,
-                trials=6, seed=42, batch=False,
+                trials=6, seed=42,
             )
-            assert batched.results == loop.results, inputs
+            assert batched == loop, inputs
 
     def test_bit_identity_holds_for_every_batched_adversary(self):
         # The none/straddle identity is against the untouched seed path; the
@@ -140,10 +156,11 @@ class TestBatchedEngine:
         # batch-size independence (B=1 vs B=6) instead.
         for adversary in VECTORIZED_ADVERSARIES:
             batched = run_vectorized_trials(48, 8, adversary=adversary,
-                                            trials=6, seed=9, batch=True)
-            single = run_vectorized_trials(48, 8, adversary=adversary,
-                                           trials=6, seed=9, batch=False)
-            assert batched.results == single.results, adversary
+                                            trials=6, seed=9)
+            single = _per_trial_loop(48, 8, protocol="committee-ba-las-vegas",
+                                     adversary=adversary, inputs="split",
+                                     trials=6, seed=9)
+            assert batched == single, adversary
 
     def test_run_batch_validates_shapes(self):
         simulator = _simulator(n=32, t=5)
@@ -154,13 +171,14 @@ class TestBatchedEngine:
             simulator.run_batch(np.zeros((2, 32), dtype=np.int8), rngs)
         assert simulator.run_batch(np.zeros((0, 32), dtype=np.int8), []) == []
 
-    def test_aggregate_carries_per_trial_results(self):
-        aggregate = run_vectorized_trials(64, 8, trials=5, seed=1)
-        assert len(aggregate.results) == 5
+    def test_one_summary_per_trial_on_the_global_counters(self):
+        summaries = run_vectorized_trials(64, 8, trials=5, seed=1, trial_offset=3)
+        assert [summary.seed for summary in summaries] == [3, 4, 5, 6, 7]
+        aggregate = TrialsResult(AgreementExperiment(n=64, t=8), summaries)
         assert aggregate.mean_rounds == pytest.approx(
-            float(np.mean([result.rounds for result in aggregate.results]))
+            float(np.mean([summary.rounds for summary in summaries]))
         )
-        assert aggregate.max_rounds == max(result.rounds for result in aggregate.results)
+        assert aggregate.max_rounds == max(summary.rounds for summary in summaries)
 
     def test_unknown_adversary_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -173,9 +191,8 @@ class TestNewAdversaries:
     @pytest.mark.parametrize("adversary", ["silent", "crash", "random-noise"])
     def test_statistically_consistent_with_object_simulator(self, adversary):
         n, t, trials = 48, 8, 12
-        vec = run_vectorized_trials(n, t, adversary=adversary, inputs="split",
-                                    trials=trials, seed=5,
-                                    protocol="committee-ba-las-vegas")
+        vec = _vectorized(n, t, adversary=adversary, inputs="split",
+                          trials=trials, seed=5, protocol="committee-ba-las-vegas")
         obj = run_trials(
             AgreementExperiment(n=n, t=t, protocol="committee-ba-las-vegas",
                                 adversary=adversary, inputs="split"),
@@ -188,19 +205,19 @@ class TestNewAdversaries:
     @pytest.mark.parametrize("adversary", ["silent", "crash", "random-noise"])
     @pytest.mark.parametrize("inputs", ["unanimous-0", "unanimous-1"])
     def test_unanimous_inputs_decide_immediately_and_validly(self, adversary, inputs):
-        aggregate = run_vectorized_trials(48, 8, adversary=adversary, inputs=inputs,
-                                          trials=8, seed=2)
+        aggregate = _vectorized(48, 8, adversary=adversary, inputs=inputs,
+                                trials=8, seed=2)
         assert aggregate.agreement_rate == 1.0
         assert aggregate.validity_rate == 1.0
         assert aggregate.mean_phases <= 3.0
         expected = 0 if inputs == "unanimous-0" else 1
-        assert all(result.decision == expected for result in aggregate.results)
+        assert all(result.decision == expected for result in aggregate.trials)
 
     def test_silent_matches_object_simulator_round_counts_exactly(self):
         # With the first t nodes silenced every honest node sees the same
         # failure-free residual network, so the phase count is deterministic.
-        vec = run_vectorized_trials(48, 8, adversary="silent", inputs="split",
-                                    trials=4, seed=3)
+        vec = _vectorized(48, 8, adversary="silent", inputs="split",
+                          trials=4, seed=3)
         obj = run_trials(
             AgreementExperiment(n=48, t=8, protocol="committee-ba-las-vegas",
                                 adversary="silent", inputs="split"),
@@ -212,13 +229,13 @@ class TestNewAdversaries:
     def test_crash_straddles_are_costlier_than_byzantine_straddles(self):
         # Crashing only removes shares, so the same budget buys fewer spoiled
         # phases than the Byzantine straddle: crash must not exceed straddle.
-        crash = run_vectorized_trials(96, 18, adversary="crash", inputs="split",
-                                      trials=10, seed=7)
-        straddle = run_vectorized_trials(96, 18, adversary="straddle", inputs="split",
-                                         trials=10, seed=7)
+        crash = _vectorized(96, 18, adversary="crash", inputs="split",
+                            trials=10, seed=7)
+        straddle = _vectorized(96, 18, adversary="straddle", inputs="split",
+                               trials=10, seed=7)
         assert crash.mean_phases <= straddle.mean_phases + 1.0
 
     def test_random_noise_keeps_all_noisy_nodes_corrupted(self):
-        aggregate = run_vectorized_trials(48, 8, adversary="random-noise",
+        summaries = run_vectorized_trials(48, 8, adversary="random-noise",
                                           inputs="split", trials=6, seed=4)
-        assert all(result.corrupted == 8 for result in aggregate.results)
+        assert all(result.corrupted == 8 for result in summaries)
