@@ -1,7 +1,7 @@
 """Adaptive vs uniform trial allocation: savings and reproducibility.
 
-The adaptive executor promises two things on the library's
-``crossover-adaptive`` spec:
+A precision target makes the sweep executor promise two things on the
+library's ``crossover-adaptive`` spec:
 
 1. **Precision**: every point of the E5 crossover grid reaches the spec's
    CI-width target (both the agreement Wilson width and the relative
@@ -25,11 +25,11 @@ from __future__ import annotations
 import dataclasses
 import time
 
-from repro.sweeps import ResultsStore, get_spec, run_adaptive
+from repro.sweeps import ResultsStore, get_spec, result_from_record, run_spec
 
 #: Uniform sweeps cannot see per-point variance, so an honest uniform
-#: comparator must size every point for the worst one.  The adaptive
-#: executor must beat that by at least this fraction of total trials.
+#: comparator must size every point for the worst one.  Precision-targeted
+#: allocation must beat that by at least this fraction of total trials.
 MIN_TRIAL_SAVINGS = 0.2
 
 
@@ -43,7 +43,8 @@ def test_adaptive_allocation_converges_with_fewer_trials(tmp_path):
     spec = get_spec("crossover-adaptive")
 
     started = time.perf_counter()
-    report = run_adaptive(spec, store=ResultsStore(tmp_path / "store"))
+    store = ResultsStore(tmp_path / "store")
+    report = run_spec(spec, store=store)
     adaptive_seconds = time.perf_counter() - started
 
     # 1. Precision: every point converged below the target, none at ceiling.
@@ -52,11 +53,11 @@ def test_adaptive_allocation_converges_with_fewer_trials(tmp_path):
         f"{report.targets.precision}"
     )
     assert report.at_ceiling == 0
-    for estimate in report.estimates:
-        assert estimate.width <= report.targets.precision
+    for outcome in report.outcomes:
+        assert outcome.estimate.width <= report.targets.precision
 
     # 2. Savings vs the uniform worst-case sizing.
-    per_point = [estimate.trials for estimate in report.estimates]
+    per_point = [outcome.trials for outcome in report.outcomes]
     worst = max(per_point)
     adaptive_total = sum(per_point)
     uniform_total = worst * report.total
@@ -72,15 +73,16 @@ def test_adaptive_allocation_converges_with_fewer_trials(tmp_path):
 
     # 3. Reproducibility: a second invocation computes nothing, and an
     # interrupted-then-resumed run reproduces identical per-trial results.
-    rerun = run_adaptive(spec, store=ResultsStore(tmp_path / "store"))
+    rerun = run_spec(spec, store=ResultsStore(tmp_path / "store"))
     assert rerun.computed_trials == 0
-    interrupted = run_adaptive(spec, store=ResultsStore(tmp_path / "resume"), limit=7)
+    interrupted = run_spec(spec, store=ResultsStore(tmp_path / "resume"), limit=7)
     assert interrupted.computed_batches == 7
-    resumed = run_adaptive(spec, store=ResultsStore(tmp_path / "resume"))
-    for res, full in zip(resumed.states, report.states):
-        assert _trial_tuples(res.result) == _trial_tuples(full.result), (
-            "resumed adaptive run diverged from the uninterrupted one"
-        )
+    resume_store = ResultsStore(tmp_path / "resume")
+    resumed = run_spec(spec, store=resume_store)
+    for res, full in zip(resumed.outcomes, report.outcomes):
+        assert _trial_tuples(result_from_record(resume_store.get(res.key))) == (
+            _trial_tuples(result_from_record(store.get(full.key)))
+        ), "resumed adaptive run diverged from the uninterrupted one"
 
     print(
         f"\nadaptive allocation ({spec.name}, precision "

@@ -61,35 +61,6 @@ class AdaptiveAdversary(Adversary):
     # Observation helpers (rushing: read the current round's honest output)
     # ------------------------------------------------------------------
     @staticmethod
-    def honest_round2_fields(
-        honest_outgoing: Mapping[int, list[Message]], phase: int
-    ) -> dict[int, tuple[int, bool, int | None]]:
-        """Per honest sender: (value, decided, share) announced in round 2 of ``phase``.
-
-        Only the sender's broadcast payload is inspected (every honest node
-        sends the same payload to everyone), so looking at the first message
-        of each sender is enough.
-        """
-        fields: dict[int, tuple[int, bool, int | None]] = {}
-        for sender, messages in honest_outgoing.items():
-            for message in messages:
-                payload = message.payload
-                if isinstance(payload, CombinedAnnouncement) and payload.phase == phase:
-                    fields[sender] = (payload.value, payload.decided, payload.share)
-                    break
-                if (
-                    isinstance(payload, ValueAnnouncement)
-                    and payload.phase == phase
-                    and payload.round_in_phase == 2
-                ):
-                    fields[sender] = (payload.value, payload.decided, None)
-                    break
-                if isinstance(payload, CoinShare) and payload.phase == phase:
-                    fields[sender] = (0, False, payload.share)
-                    break
-        return fields
-
-    @staticmethod
     def honest_coin_shares(
         honest_outgoing: Mapping[int, list[Message]], committee: Iterable[int], phase: int = 0
     ) -> dict[int, int]:

@@ -30,7 +30,7 @@ class RateEstimate:
     @property
     def width(self) -> float:
         """Full width of the confidence interval (the precision measure the
-        adaptive executor targets)."""
+        sweep executor's precision targets bound)."""
         return self.high - self.low
 
 
@@ -80,7 +80,7 @@ def mean_confidence_interval(
 def relative_ci_width(values: Sequence[float], *, z: float = 1.96) -> float:
     """Full CI width of the mean, relative to the mean's magnitude.
 
-    The scale-free precision measure the adaptive executor applies to round
+    The scale-free precision measure a sweep precision target applies to round
     counts: ``(high - low) / max(|mean|, 1)`` from
     :func:`mean_confidence_interval`, so a target of ``0.1`` reads as "the
     mean is pinned to within ±5%".  A single value (or a constant sample)

@@ -17,14 +17,15 @@ Python:
     fan-out for object sweeps).
 
 ``sweep``
-    The orchestration layer (:mod:`repro.sweeps`): ``run`` executes the
-    pending points of a declarative scenario spec (a library name or a
-    ``.json``/``.toml`` file) against the persistent results store, ``status``
-    reports cache coverage, ``expand`` prints the materialised grid,
-    ``report`` renders the result table straight from the store and
-    ``library`` lists the named scenario specs.  Runs are interrupt-safe and
-    resumable: every computed point is durable immediately, and a re-run
-    executes only uncached points.
+    The orchestration layer (:mod:`repro.sweeps`): ``run`` brings every
+    point of a declarative scenario spec (a library name or a
+    ``.json``/``.toml`` file) to its trials — and, under a precision target
+    (the spec's or ``--precision``), to its CI width — against the persistent
+    results store, ``status`` reports cache coverage, ``expand`` prints the
+    materialised grid, ``report`` renders the result table straight from the
+    store and ``library`` lists the named scenario specs.  Runs are
+    interrupt-safe and resumable: every computed batch is durable
+    immediately, and a re-run executes only what the store lacks.
 
 ``experiment``
     Regenerate one of the E1–E10 experiment tables (quick sweep by default,
@@ -233,17 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 "bit-identical, so cached points computed under "
                                 "any backend are reused")
     sweep_run.add_argument("--limit", type=int, default=None,
-                           help="execute at most this many pending points "
-                                "(adaptive: batches), leaving the rest for a "
-                                "later (resumed) invocation")
+                           help="execute at most this many batches (a point "
+                                "without a precision target is one batch), "
+                                "leaving the rest for a later (resumed) "
+                                "invocation")
     sweep_run.add_argument("--quiet", action="store_true",
                            help="suppress the per-point progress lines")
-    sweep_run.add_argument("--adaptive", action="store_true",
-                           help="run the precision-targeted adaptive executor "
-                                "(implied by a spec with an 'adaptive' block "
-                                "or by --precision)")
     sweep_run.add_argument("--precision", type=float, default=None,
-                           help="target CI width: batches keep running until "
+                           help="target CI width (makes any spec adaptive): "
+                                "batches keep running until "
                                 "every point's agreement Wilson width AND "
                                 "relative mean-rounds CI width are below this "
                                 "(overrides the spec's own target)")
@@ -434,12 +433,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
     from repro.exceptions import ConfigurationError
     from repro.sweeps import (
         ResultsStore,
-        adaptive_report_rows,
-        adaptive_status,
         expand_rows,
         markdown_library_table,
         report_rows,
-        run_adaptive,
         run_spec,
         status_spec,
     )
@@ -469,81 +465,58 @@ def _command_sweep(args: argparse.Namespace) -> int:
     store = ResultsStore(args.store)
     try:
         if args.sweep_command == "status":
-            if spec.adaptive:
-                report = adaptive_status(spec, store=store, engine=args.engine)
-                for estimate in report.estimates:
-                    width = "-" if estimate.trials == 0 else f"{estimate.width:.4f}"
-                    print(f"  {estimate.status:9s} {estimate.point.label()}  "
-                          f"{estimate.trials:4d} trials, width {width}  "
-                          f"[{estimate.key[:12]}]")
-                print(report.summary_line())
-                return 0
             report = status_spec(spec, store=store, engine=args.engine)
             for outcome in report.outcomes:
-                print(f"  {outcome.status:8s} {outcome.point.label()}  "
-                      f"[{outcome.key[:12]}]")
+                estimate = outcome.estimate
+                if estimate is None:
+                    print(f"  {outcome.status:8s} {outcome.point.label()}  "
+                          f"[{outcome.key[:12]}]")
+                else:
+                    width = "-" if estimate.trials == 0 else f"{estimate.width:.4f}"
+                    print(f"  {estimate.status:9s} {outcome.point.label()}  "
+                          f"{estimate.trials:4d} trials, width {width}  "
+                          f"[{outcome.key[:12]}]")
             print(report.summary_line())
-            print(report.cache_line())
+            if report.targets is None:
+                print(report.cache_line())
             return 0
         if args.sweep_command == "report":
-            if spec.adaptive:
-                rows = adaptive_report_rows(spec, store=store, engine=args.engine)
-                print(f"spec {spec.name}: adaptive results from {store.root}")
-                print(format_table(rows))
-                missing = sum(1 for row in rows if row["status"] == "pending")
-            else:
-                rows = report_rows(spec, store=store, engine=args.engine)
-                print(f"spec {spec.name}: results from {store.root}")
-                print(format_table(rows))
-                missing = sum(1 for row in rows if row["engine"] is None)
+            rows = report_rows(spec, store=store, engine=args.engine)
+            print(f"spec {spec.name}: results from {store.root}")
+            print(format_table(rows))
+            missing = sum(1 for row in rows if row["status"] == "pending")
             if missing:
                 print(f"({missing} of {len(rows)} points not in the store yet; "
                       f"run `repro sweep run {args.spec}`)")
             return 0
         if args.sweep_command == "run":
             tracer = _cli_tracer(args.trace, "sweep-run")
-            adaptive = args.adaptive or args.precision is not None or spec.adaptive
-            if adaptive:
-                def batch_progress(outcome, batches):
-                    if not args.quiet:
-                        state = "converged" if outcome.converged else "open"
-                        print(f"  [batch {batches}] {outcome.point.label()} "
-                              f"+{outcome.batch_trials} -> {outcome.total_trials} "
-                              f"trials, width {outcome.width:.4f} ({state}; "
-                              f"{outcome.seconds:.2f}s, {outcome.engine})",
-                              flush=True)
-
-                with activate(tracer):
-                    with tracer.span("cli.sweep_run", spec=spec.name,
-                                     adaptive=True):
-                        report = run_adaptive(
-                            spec, store=store, engine=args.engine,
-                            precision=args.precision, max_trials=args.max_trials,
-                            batch_size=args.batch, workers=args.workers,
-                            backend=args.backend, limit=args.limit,
-                            progress=batch_progress,
-                        )
-                print(report.summary_line())
-                _export_trace(tracer)
-                return 0
 
             def progress(outcome, index, total):
-                if not args.quiet:
-                    timing = f" ({outcome.seconds:.2f}s, {outcome.engine})" \
-                        if outcome.status == "computed" else ""
-                    print(f"  [{index + 1}/{total}] {outcome.status:8s} "
-                          f"{outcome.point.label()}{timing}", flush=True)
+                if args.quiet:
+                    return
+                timing = f" ({outcome.seconds:.2f}s, {outcome.engine})" \
+                    if outcome.status == "computed" else ""
+                line = (f"  [{index + 1}/{total}] {outcome.status:8s} "
+                        f"{outcome.point.label()}{timing}")
+                if outcome.estimate is not None and outcome.trials:
+                    state = "converged" if outcome.estimate.converged else "open"
+                    line += (f" -> {outcome.trials} trials, width "
+                             f"{outcome.estimate.width:.4f} ({state})")
+                print(line, flush=True)
 
             with activate(tracer):
-                with tracer.span("cli.sweep_run", spec=spec.name,
-                                 adaptive=False):
+                with tracer.span("cli.sweep_run", spec=spec.name):
                     report = run_spec(
                         spec, store=store, engine=args.engine,
                         workers=args.workers, backend=args.backend,
                         limit=args.limit, progress=progress,
+                        precision=args.precision, max_trials=args.max_trials,
+                        batch_size=args.batch,
                     )
             print(report.summary_line())
-            print(report.cache_line())
+            if report.targets is None:
+                print(report.cache_line())
             _export_trace(tracer)
             return 0
     except ConfigurationError as error:

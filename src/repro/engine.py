@@ -492,7 +492,7 @@ def run_sweep(
             k`` on the object engines, Philox key ``(base_seed, trial_offset
             + k)`` on the vectorised kernels — so concatenating batches run
             at consecutive offsets is bit-identical to one unsplit sweep.
-            This is the contract the sharded and adaptive executors build on.
+            This is the contract sharded runs and sweep top-ups build on.
         backend: Plane-backend selection for the vectorised kernels (a
             :func:`repro.simulator.planes.available_backends` name; ``None``
             defers to ``$REPRO_PLANE_BACKEND`` then ``numpy``).  Backends

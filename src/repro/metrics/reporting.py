@@ -98,56 +98,6 @@ def format_markdown_table(
     return f"{header}\n{separator}\n{body}"
 
 
-def sweep_report_rows(
-    records: Sequence[tuple[object, dict | None]],
-) -> list[dict[str, object]]:
-    """Report-from-store: flatten stored sweep-point records into table rows.
-
-    Args:
-        records: ``(point, record)`` pairs in grid order, where ``point``
-            carries the configuration attributes of a
-            :class:`repro.sweeps.spec.SweepPoint` and ``record`` is the
-            stored dict (or None for a not-yet-computed point, whose
-            measurement cells render as ``-`` so coverage gaps stay
-            visible).
-    """
-    from repro.analysis.statistics import relative_ci_width, success_rate
-
-    rows = []
-    for point, record in records:
-        summary = (record or {}).get("summary", {})
-        agree_width = rounds_rel_width = None
-        trial_rows = (record or {}).get("trials") or []
-        if trial_rows and summary.get("agreement_rate") is not None:
-            successes = round(summary["agreement_rate"] * len(trial_rows))
-            agree_width = success_rate(successes, len(trial_rows)).width
-            fields = record.get("trial_fields", [])
-            if "rounds" in fields:
-                rounds_index = fields.index("rounds")
-                rounds_rel_width = relative_ci_width(
-                    [float(values[rounds_index]) for values in trial_rows]
-                )
-        rows.append(
-            {
-                "protocol": point.protocol,
-                "adversary": point.adversary,
-                "inputs": point.inputs,
-                "n": point.n,
-                "t": point.t,
-                "alpha": point.alpha,
-                "trials": point.trials,
-                "engine": (record or {}).get("engine"),
-                "mean_rounds": summary.get("mean_rounds"),
-                "mean_messages": summary.get("mean_messages"),
-                "agreement_rate": summary.get("agreement_rate"),
-                "validity_rate": summary.get("validity_rate"),
-                "agree_width": agree_width,
-                "rounds_rel_width": rounds_rel_width,
-            }
-        )
-    return rows
-
-
 @dataclass
 class ExperimentReport:
     """A titled, annotated table for one experiment.

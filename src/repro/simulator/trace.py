@@ -59,10 +59,6 @@ class ExecutionTrace:
                 schedule.append((record.round_index, node_id))
         return schedule
 
-    def corruption_counts(self) -> list[int]:
-        """Cumulative number of corrupted nodes after each round."""
-        return [record.corrupted_total for record in self.records]
-
     def decided_counts(self) -> list[int]:
         """Number of honest nodes with ``decided=True`` after each round."""
         return [record.honest_decided for record in self.records]

@@ -1,27 +1,23 @@
 """Sweep orchestration subsystem.
 
 The layer above :func:`repro.engine.run_sweep`: declarative scenario grids
-(:mod:`repro.sweeps.spec`), a persistent content-addressed results store with
-caching and resume (:mod:`repro.sweeps.store`), a resumable executor with
-trial-range sharding (:mod:`repro.sweeps.executor`) and a named scenario
-library (:mod:`repro.sweeps.library`).  The ``repro sweep`` CLI subcommands
-are thin wrappers over these four modules; see ``docs/sweeps.md`` for the
-spec format and the caching/resume contract.
+(:mod:`repro.sweeps.spec`), a persistent content-addressed results store
+with caching and resume (:mod:`repro.sweeps.store`), one resumable,
+batch-wise executor with trial-range sharding (:mod:`repro.sweeps.executor`),
+the precision stopping rule it consults when a spec sets a target
+(:mod:`repro.sweeps.adaptive`) and a named scenario library
+(:mod:`repro.sweeps.library`).  The ``repro sweep`` CLI subcommands are thin
+wrappers over these modules; see ``docs/sweeps.md`` for the spec format and
+the caching/resume contract.
 """
 
 from repro.sweeps.adaptive import (
-    AdaptiveRunReport,
-    BatchOutcome,
     PointEstimate,
     PrecisionTargets,
-    adaptive_keys,
     adaptive_plan_table,
-    adaptive_report_rows,
-    adaptive_status,
     estimate_point,
     markdown_adaptive_plan,
     resolve_targets,
-    run_adaptive,
 )
 from repro.sweeps.executor import (
     PointOutcome,
@@ -46,8 +42,6 @@ from repro.sweeps.spec import (
 from repro.sweeps.store import (
     STORE_SCHEMA_VERSION,
     ResultsStore,
-    adaptive_key,
-    adaptive_record,
     default_store_root,
     engine_family,
     experiment_key,
@@ -62,8 +56,6 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "SWEEP_LIBRARY",
     "T_SPECS",
-    "AdaptiveRunReport",
-    "BatchOutcome",
     "PointEstimate",
     "PointOutcome",
     "PrecisionTargets",
@@ -71,12 +63,7 @@ __all__ = [
     "SweepPoint",
     "SweepRunReport",
     "SweepSpec",
-    "adaptive_key",
-    "adaptive_keys",
     "adaptive_plan_table",
-    "adaptive_record",
-    "adaptive_report_rows",
-    "adaptive_status",
     "canonical_json",
     "default_store_root",
     "engine_family",
@@ -88,7 +75,6 @@ __all__ = [
     "markdown_library_table",
     "point_key",
     "resolve_targets",
-    "run_adaptive",
     "report_rows",
     "resolve_t",
     "result_from_record",

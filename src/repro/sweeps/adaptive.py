@@ -1,45 +1,26 @@
-"""Sequential, precision-targeted sweep execution.
+"""Precision targets: when a sweep point has enough trials.
 
-The uniform executor (:mod:`repro.sweeps.executor`) spends a fixed trial
-budget on every point of a grid, so low-variance points are oversampled while
-crossover-region points get noisy estimates.  This module inverts that: each
-:class:`~repro.sweeps.spec.SweepPoint` runs in *batches*, and after every
-batch the executor measures two confidence intervals via
-:mod:`repro.analysis.statistics` —
+The executor (:mod:`repro.sweeps.executor`) runs every
+:class:`~repro.sweeps.spec.SweepPoint` in *batches*.  Without a precision
+target a point stops at its ``trials``.  With one, the executor measures two
+confidence intervals via :mod:`repro.analysis.statistics` after every
+batch —
 
 * the **Wilson interval** on the agreement rate (its full width), and
 * the **relative CI width** on mean rounds (full width over the mean),
 
 and keeps allocating further batches — always to the point whose widest of
 the two measures is largest ("variance-greedy") — until every point is below
-the ``precision`` target or at its ``max_trials`` ceiling.
-
-Reproducibility contract
-------------------------
-Batches run through :func:`repro.engine.run_sweep` with ``trial_offset`` set
-to the point's accumulated trial count, so batch trials draw from the same
-global counter streams — Philox key ``(base_seed, k)`` on the vectorised
-kernels, master seed ``base_seed + k`` on the object engines — they would use
-in one unsplit sweep.  Concatenating the batches with
-:meth:`repro.core.runner.TrialsResult.merge` is therefore **bit-identical**
-to a one-shot run at the same total trial count, and because the greedy
-allocation decisions depend only on the accumulated results (ties broken by
-grid order), an interrupted-and-resumed adaptive run replays the identical
-batch sequence and lands on the identical estimates.
-
-Every completed batch immediately appends the point's *accumulated* record to
-the content-addressed :class:`~repro.sweeps.store.ResultsStore` under its
-trials-independent :func:`~repro.sweeps.store.adaptive_key`, so a kill at any
-moment loses at most the in-flight batch: on resume, the latest durable
-record per point is merged back in and only the remainder executes.
+the ``precision`` target or at its ``max_trials`` ceiling.  This module
+owns that stopping rule: resolving the targets (:func:`resolve_targets`)
+and measuring a point against them (:func:`estimate_point`).
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.analysis.statistics import (
     RateEstimate,
@@ -47,24 +28,13 @@ from repro.analysis.statistics import (
     relative_ci_width,
     success_rate,
 )
-from repro.engine import SweepResult, run_sweep, select_engine
+from repro.engine import SweepResult
 from repro.exceptions import ConfigurationError
-from repro.observability.tracer import current_tracer
 from repro.sweeps.spec import SweepPoint, SweepSpec
-from repro.sweeps.store import (
-    ResultsStore,
-    adaptive_key,
-    adaptive_record,
-    engine_family,
-    result_from_record,
-)
 
 #: Default per-point ceiling, in batches, when neither the spec nor the
 #: caller sets ``max_trials`` explicitly.
 DEFAULT_CEILING_BATCHES = 64
-
-#: Per-batch progress callback: ``(outcome, batches_so_far)``.
-AdaptiveProgress = Callable[["BatchOutcome", int], None]
 
 
 @dataclass(frozen=True)
@@ -163,22 +133,33 @@ def estimate_point(
     point: SweepPoint,
     key: str,
     result: SweepResult | None,
-    targets: PrecisionTargets,
+    targets: PrecisionTargets | None,
 ) -> PointEstimate:
-    """Measure one point's precision state from its accumulated result."""
+    """Measure one point's precision state from its accumulated result.
+
+    Without ``targets`` a point converges once it holds its own ``trials``
+    (a uniform sweep is the no-target case); both intervals are still
+    measured, at 95% confidence.
+    """
     if result is None or result.num_trials == 0:
         return PointEstimate(
             point=point, key=key, trials=0, agreement=None, rounds_mean=None,
             rounds_low=None, rounds_high=None, rounds_rel_width=None,
             width=math.inf, converged=False, ceiling_hit=False,
         )
+    z = 1.96 if targets is None else targets.z
     trials = result.num_trials
     successes = sum(trial.agreement for trial in result.trials)
-    agreement = success_rate(successes, trials, z=targets.z)
+    agreement = success_rate(successes, trials, z=z)
     rounds = [float(trial.rounds) for trial in result.trials]
-    mean, low, high = mean_confidence_interval(rounds, z=targets.z)
-    rel_width = relative_ci_width(rounds, z=targets.z)
+    mean, low, high = mean_confidence_interval(rounds, z=z)
+    rel_width = relative_ci_width(rounds, z=z)
     width = max(agreement.width, rel_width)
+    if targets is None:
+        converged = ceiling_hit = trials >= point.trials
+    else:
+        converged = width <= targets.precision
+        ceiling_hit = trials >= targets.max_trials
     return PointEstimate(
         point=point,
         key=key,
@@ -189,357 +170,9 @@ def estimate_point(
         rounds_high=high,
         rounds_rel_width=rel_width,
         width=width,
-        converged=width <= targets.precision,
-        ceiling_hit=trials >= targets.max_trials,
+        converged=converged,
+        ceiling_hit=ceiling_hit,
     )
-
-
-@dataclass
-class _PointState:
-    """Mutable per-point execution state of one adaptive invocation."""
-
-    point: SweepPoint
-    key: str
-    result: SweepResult | None
-    computed_trials: int = 0
-    computed_batches: int = 0
-    seconds: float = 0.0
-
-    @property
-    def trials(self) -> int:
-        return 0 if self.result is None else self.result.num_trials
-
-
-@dataclass(frozen=True)
-class BatchOutcome:
-    """What one executed batch did (for progress reporting)."""
-
-    point: SweepPoint
-    key: str
-    batch_trials: int
-    total_trials: int
-    width: float
-    converged: bool
-    engine: str
-    seconds: float
-
-
-@dataclass
-class AdaptiveRunReport:
-    """Outcome of one :func:`run_adaptive` (or :func:`adaptive_status`)."""
-
-    spec: SweepSpec
-    engine: str
-    targets: PrecisionTargets
-    estimates: list[PointEstimate]
-    computed_trials: int = 0
-    computed_batches: int = 0
-    seconds: float = 0.0
-    states: list[_PointState] = field(default_factory=list, repr=False)
-
-    @property
-    def total(self) -> int:
-        return len(self.estimates)
-
-    @property
-    def total_trials(self) -> int:
-        return sum(estimate.trials for estimate in self.estimates)
-
-    @property
-    def converged(self) -> int:
-        return sum(estimate.converged for estimate in self.estimates)
-
-    @property
-    def at_ceiling(self) -> int:
-        return sum(
-            estimate.ceiling_hit and not estimate.converged
-            for estimate in self.estimates
-        )
-
-    def summary_line(self) -> str:
-        """One machine-greppable line (asserted by the CI adaptive-smoke job)."""
-        return (
-            f"adaptive sweep {self.spec.name}: {self.total} points, "
-            f"{self.total_trials} trials (+{self.computed_trials} computed), "
-            f"{self.converged} converged, {self.at_ceiling} at ceiling, "
-            f"precision {self.targets.precision:g} (engine {self.engine}, "
-            f"{self.seconds:.2f}s)"
-        )
-
-
-def adaptive_keys(
-    spec: SweepSpec,
-    *,
-    engine: str | None = None,
-    workers: int | None = None,
-) -> list[tuple[SweepPoint, str]]:
-    """Expand a spec and compute each point's trials-independent adaptive key.
-
-    Mirrors :func:`repro.sweeps.executor.spec_keys` — the key depends on the
-    result *family* of the engine that would run the point, never on the
-    concrete serial/parallel variant or the trial count.
-    """
-    requested = engine if engine is not None else spec.engine
-    pairs = []
-    for point in spec.expand():
-        resolved = select_engine(
-            point.protocol,
-            point.adversary,
-            engine=requested,
-            trials=point.trials,
-            n=point.n,
-            workers=workers,
-            max_rounds=point.max_rounds,
-            topology=point.topology,
-            loss=point.loss,
-        )
-        pairs.append((point, adaptive_key(point, engine_family(resolved))))
-    return pairs
-
-
-def run_adaptive(
-    spec: SweepSpec,
-    *,
-    store: ResultsStore,
-    engine: str | None = None,
-    precision: float | None = None,
-    max_trials: int | None = None,
-    batch_size: int | None = None,
-    z: float = 1.96,
-    workers: int | None = None,
-    backend: str | None = None,
-    limit: int | None = None,
-    progress: AdaptiveProgress | None = None,
-) -> AdaptiveRunReport:
-    """Run ``spec`` adaptively: batches go where the error bars are widest.
-
-    Args:
-        store: Results store; each point's accumulated record is read on
-            entry (resume) and appended after every completed batch.
-        engine: Engine override (defaults to the spec's own choice).
-        precision / max_trials / batch_size: Stopping-rule overrides
-            (defaults: the spec's adaptive block, see :func:`resolve_targets`).
-        z: Normal quantile of both intervals (1.96 = 95% confidence).
-        workers / backend: Execution policy, forwarded to
-            :func:`repro.engine.run_sweep`; results never depend on either.
-        limit: Execute at most this many *batches*, leaving the rest for a
-            later (resumed) invocation — the CI resume check uses this to
-            emulate an interrupted run deterministically.
-        progress: Called once per executed batch.
-
-    Returns:
-        An :class:`AdaptiveRunReport`; interruptions (KeyboardInterrupt) are
-        NOT swallowed, but every batch completed before one is already
-        durable in the store.
-    """
-    started = time.perf_counter()
-    targets = resolve_targets(
-        spec, precision=precision, max_trials=max_trials,
-        batch_size=batch_size, z=z,
-    )
-    requested = engine if engine is not None else spec.engine
-    states = [
-        _PointState(
-            point=point,
-            key=key,
-            result=(
-                None
-                if (record := store.get(key)) is None
-                else result_from_record(record)
-            ),
-        )
-        for point, key in adaptive_keys(spec, engine=engine, workers=workers)
-    ]
-    executed = 0
-
-    def budget_left() -> bool:
-        return limit is None or executed < limit
-
-    tracer = current_tracer()
-
-    def run_batch(state: _PointState, count: int) -> None:
-        nonlocal executed
-        batch_started = time.perf_counter()
-        # The span records the allocation decision's inputs (the point, its
-        # accumulated offset, the batch size) and — via annotate — the width
-        # the batch landed on: the trace replays the greedy width trajectory.
-        with tracer.span(
-            "adaptive.batch",
-            point=state.point.label(),
-            offset=state.trials,
-            trials=count,
-        ) as span:
-            batch = run_sweep(
-                experiment=state.point.experiment(),
-                trials=count,
-                base_seed=state.point.base_seed,
-                engine=requested,
-                workers=workers,
-                backend=backend,
-                trial_offset=state.trials,
-            )
-            merged = (
-                batch
-                if state.result is None
-                else SweepResult(
-                    experiment=batch.experiment,
-                    trials=state.result.trials + batch.trials,
-                    engine=batch.engine,
-                )
-            )
-            state.result = merged
-            store.put(
-                state.key,
-                adaptive_record(
-                    state.point, merged, batch.engine,
-                    precision=targets.precision, batch_size=targets.batch_size,
-                    max_trials=targets.max_trials, z=targets.z,
-                ),
-            )
-            current = estimate_point(state.point, state.key, merged, targets)
-            span.annotate(
-                total_trials=merged.num_trials,
-                width=current.width,
-                converged=current.converged,
-            )
-        seconds = time.perf_counter() - batch_started
-        state.computed_trials += count
-        state.computed_batches += 1
-        state.seconds += seconds
-        executed += 1
-        if progress is not None:
-            progress(
-                BatchOutcome(
-                    point=state.point, key=state.key, batch_trials=count,
-                    total_trials=merged.num_trials, width=current.width,
-                    converged=current.converged, engine=batch.engine,
-                    seconds=seconds,
-                ),
-                executed,
-            )
-
-    try:
-        # Phase 1: every point gets its initial batch (the spec's `trials`),
-        # topping up partially-seeded points from interrupted runs.
-        for state in states:
-            if not budget_left():
-                break
-            if state.trials < state.point.trials:
-                run_batch(state, state.point.trials - state.trials)
-        # Phase 2: variance-greedy allocation.  Every decision depends only
-        # on the accumulated results (max() keeps the first of tied widths,
-        # and states iterate in grid order), so an interrupted run resumed
-        # from the store replays the identical batch sequence.
-        while budget_left():
-            pending = [
-                state
-                for state in states
-                if state.trials >= state.point.trials
-                and state.trials < targets.max_trials
-                and not estimate_point(
-                    state.point, state.key, state.result, targets
-                ).converged
-            ]
-            if not pending:
-                break
-            widest = max(
-                pending,
-                key=lambda state: estimate_point(
-                    state.point, state.key, state.result, targets
-                ).width,
-            )
-            run_batch(
-                widest,
-                min(targets.batch_size, targets.max_trials - widest.trials),
-            )
-    finally:
-        store.flush_index()
-    return AdaptiveRunReport(
-        spec=spec,
-        engine=requested,
-        targets=targets,
-        estimates=[
-            estimate_point(state.point, state.key, state.result, targets)
-            for state in states
-        ],
-        computed_trials=sum(state.computed_trials for state in states),
-        computed_batches=executed,
-        seconds=time.perf_counter() - started,
-        states=states,
-    )
-
-
-def adaptive_status(
-    spec: SweepSpec,
-    *,
-    store: ResultsStore,
-    engine: str | None = None,
-    precision: float | None = None,
-    max_trials: int | None = None,
-    batch_size: int | None = None,
-    z: float = 1.96,
-) -> AdaptiveRunReport:
-    """Precision coverage of ``spec`` in ``store`` without executing anything."""
-    targets = resolve_targets(
-        spec, precision=precision, max_trials=max_trials,
-        batch_size=batch_size, z=z,
-    )
-    estimates = []
-    for point, key in adaptive_keys(spec, engine=engine):
-        record = store.get(key)
-        result = None if record is None else result_from_record(record)
-        estimates.append(estimate_point(point, key, result, targets))
-    return AdaptiveRunReport(
-        spec=spec,
-        engine=engine if engine is not None else spec.engine,
-        targets=targets,
-        estimates=estimates,
-    )
-
-
-def adaptive_report_rows(
-    spec: SweepSpec,
-    *,
-    store: ResultsStore,
-    engine: str | None = None,
-    precision: float | None = None,
-    max_trials: int | None = None,
-    batch_size: int | None = None,
-    z: float = 1.96,
-) -> list[dict[str, Any]]:
-    """Result table of an adaptive spec, read entirely from the store.
-
-    One row per point with the accumulated trial count and both intervals;
-    uncomputed points appear with empty measurement cells.
-    """
-    report = adaptive_status(
-        spec, store=store, engine=engine, precision=precision,
-        max_trials=max_trials, batch_size=batch_size, z=z,
-    )
-    rows = []
-    for estimate in report.estimates:
-        point = estimate.point
-        agreement = estimate.agreement
-        rows.append(
-            {
-                "protocol": point.protocol,
-                "adversary": point.adversary,
-                "n": point.n,
-                "t": point.t,
-                "trials": estimate.trials or None,
-                "agreement_rate": None if agreement is None else agreement.rate,
-                "agree_low": None if agreement is None else agreement.low,
-                "agree_high": None if agreement is None else agreement.high,
-                "mean_rounds": estimate.rounds_mean,
-                "rounds_low": estimate.rounds_low,
-                "rounds_high": estimate.rounds_high,
-                "ci_width": (
-                    None if estimate.trials == 0 else estimate.width
-                ),
-                "status": estimate.status,
-            }
-        )
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -553,9 +186,11 @@ def adaptive_plan_table(spec: SweepSpec) -> list[dict[str, Any]]:
     increment and the ceiling.  Rendered (for the ``crossover-adaptive``
     library spec) into ``docs/sweeps.md`` as a drift-guarded example table.
     """
+    from repro.sweeps.executor import spec_keys
+
     targets = resolve_targets(spec)
     rows = []
-    for index, (point, key) in enumerate(adaptive_keys(spec)):
+    for index, (point, key) in enumerate(spec_keys(spec)):
         rows.append(
             {
                 "#": index,
@@ -593,17 +228,11 @@ def markdown_adaptive_plan() -> str:
 
 
 __all__ = [
-    "AdaptiveRunReport",
-    "BatchOutcome",
     "DEFAULT_CEILING_BATCHES",
     "PointEstimate",
     "PrecisionTargets",
-    "adaptive_keys",
     "adaptive_plan_table",
-    "adaptive_report_rows",
-    "adaptive_status",
     "estimate_point",
     "markdown_adaptive_plan",
     "resolve_targets",
-    "run_adaptive",
 ]

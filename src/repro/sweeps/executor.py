@@ -1,43 +1,79 @@
-"""Resumable sweep execution.
+"""Resumable, batch-wise sweep execution.
 
-:func:`run_spec` drives the pending points of a :class:`SweepSpec` through
-:func:`repro.engine.run_sweep` and writes every result into a
-:class:`~repro.sweeps.store.ResultsStore` as soon as it is computed, so an
-interrupted sweep (Ctrl-C, OOM kill, pre-empted CI runner) can simply be
-re-invoked: points whose content key is already stored are served from the
-cache and only the remainder executes.  Multi-core machines additionally get
-trial-range sharding for free — ``workers > 1`` routes vectorisable points
-through the bit-identical ``vectorized-mp`` engine.
+:func:`run_spec` drives every point of a :class:`SweepSpec` through
+:func:`repro.engine.run_sweep` in *batches* and appends each point's
+accumulated record to a :class:`~repro.sweeps.store.ResultsStore` as soon as
+a batch completes, so an interrupted sweep (Ctrl-C, OOM kill, pre-empted CI
+runner) can simply be re-invoked: only the remainder executes.
 
-The executor is deliberately dumb about *what* it runs: every decision that
-affects results (grid contents, seeds, engine family) is owned by the spec
-and the store key, which is what makes caching sound.
+Every point is first topped up to its ``trials``.  Without a precision target
+the run stops there — a uniform sweep.  With one (the spec's ``adaptive``
+block or an explicit ``precision``), further batches go, one at a time, to
+the open point whose error bars are widest (:mod:`repro.sweeps.adaptive`).
+
+Reproducibility contract
+------------------------
+Batches run with ``trial_offset`` set to the point's accumulated trial
+count, so batch trials draw from the same global counter streams — Philox
+key ``(base_seed, k)`` on the vectorised kernels, master seed
+``base_seed + k`` on the object engines — they would use in one unsplit
+sweep.  An accumulated record is therefore **bit-identical** to a one-shot
+run at the same total, which is what lets one trials-independent store key
+(:func:`~repro.sweeps.store.point_key`) serve every trial count: a record
+holding at least ``trials`` trials is a cache hit served as its first
+``trials``, a shorter one is topped up from where it stops.  The greedy
+allocation depends only on the accumulated results (ties broken by grid
+order), so an interrupted-and-resumed run replays the identical batch
+sequence.  Multi-core machines additionally get trial-range sharding for
+free — ``workers > 1`` routes vectorisable points through the bit-identical
+``vectorized-mp`` engine.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
-from repro.engine import run_sweep, select_engine
+from repro.engine import SweepResult, run_sweep, select_engine
 from repro.observability.tracer import Tracer, current_tracer
+from repro.sweeps.adaptive import (
+    PointEstimate,
+    PrecisionTargets,
+    estimate_point,
+    resolve_targets,
+)
 from repro.sweeps.spec import SweepPoint, SweepSpec
-from repro.sweeps.store import ResultsStore, engine_family, point_key, sweep_record
+from repro.sweeps.store import (
+    ResultsStore,
+    engine_family,
+    point_key,
+    result_from_record,
+    sweep_record,
+)
 
-#: Per-point progress callback: ``(outcome, index, total)``.
+#: Progress callback: ``(outcome, index, total)``, called once per point in
+#: grid order and again after every precision-driven batch.
 ProgressCallback = Callable[["PointOutcome", int, int], None]
 
 
 @dataclass(frozen=True)
 class PointOutcome:
-    """What happened to one point of a sweep run."""
+    """What one sweep run did to one point (so far)."""
 
     point: SweepPoint
     key: str
     status: str  # "cached" | "computed" | "pending"
     engine: str = "-"
     seconds: float = 0.0
+    #: Trials the store holds for the point.
+    trials: int = 0
+    #: Trials and batches this invocation computed for the point.
+    computed_trials: int = 0
+    batches: int = 0
+    #: Precision state; set only when a precision target is in force.
+    estimate: PointEstimate | None = None
 
 
 @dataclass
@@ -47,11 +83,12 @@ class SweepRunReport:
     spec: SweepSpec
     engine: str
     outcomes: list[PointOutcome]
+    targets: PrecisionTargets | None = None
     seconds: float = 0.0
     #: Store-cache counters of this invocation, read back from the telemetry
     #: counter surface (``store.cache_hit`` / ``store.cache_miss``) rather
-    #: than re-derived from the index: a hit is a point served from the
-    #: store, a miss a point that had to execute (or stayed pending).
+    #: than re-derived from the index: a hit is a point whose record already
+    #: held its trials, a miss a point that had to execute (or stayed pending).
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -74,8 +111,39 @@ class SweepRunReport:
     def pending(self) -> int:
         return self.count("pending")
 
+    @property
+    def total_trials(self) -> int:
+        return sum(outcome.trials for outcome in self.outcomes)
+
+    @property
+    def computed_trials(self) -> int:
+        return sum(outcome.computed_trials for outcome in self.outcomes)
+
+    @property
+    def computed_batches(self) -> int:
+        return sum(outcome.batches for outcome in self.outcomes)
+
+    @property
+    def converged(self) -> int:
+        return sum(outcome.estimate.converged for outcome in self.outcomes)
+
+    @property
+    def at_ceiling(self) -> int:
+        return sum(
+            outcome.estimate.ceiling_hit and not outcome.estimate.converged
+            for outcome in self.outcomes
+        )
+
     def summary_line(self) -> str:
-        """One machine-greppable line (asserted by the CI sweep-smoke job)."""
+        """One machine-greppable line (asserted by the CI smoke jobs)."""
+        if self.targets is not None:
+            return (
+                f"adaptive sweep {self.spec.name}: {self.total} points, "
+                f"{self.total_trials} trials (+{self.computed_trials} computed), "
+                f"{self.converged} converged, {self.at_ceiling} at ceiling, "
+                f"precision {self.targets.precision:g} (engine {self.engine}, "
+                f"{self.seconds:.2f}s)"
+            )
         return (
             f"sweep {self.spec.name}: {self.total} points, "
             f"{self.computed} computed, {self.cached} cached, "
@@ -101,7 +169,8 @@ def spec_keys(
 
     The key depends on the *result family* of the engine that would run the
     point (``select_engine`` per point — "auto" may resolve differently per
-    configuration), never on the concrete serial/parallel variant.
+    configuration), never on the concrete serial/parallel variant or the
+    trial count.
     """
     requested = engine if engine is not None else spec.engine
     pairs = []
@@ -121,6 +190,34 @@ def spec_keys(
     return pairs
 
 
+def _targets(
+    spec: SweepSpec, precision: float | None, **overrides: Any
+) -> PrecisionTargets | None:
+    """The precision stopping rule in force, or None for a uniform sweep."""
+    if precision is None and spec.precision is None:
+        return None
+    return resolve_targets(spec, precision=precision, **overrides)
+
+
+def _stored_result(
+    record: Mapping[str, Any] | None,
+    point: SweepPoint,
+    targets: PrecisionTargets | None,
+) -> SweepResult | None:
+    """A point's stored result as the sweep sees it: without a precision
+    target a longer record is served as its first ``point.trials`` trials."""
+    if record is None:
+        return None
+    result = result_from_record(record)
+    if targets is None and result.num_trials > point.trials:
+        result = SweepResult(
+            experiment=result.experiment,
+            trials=result.trials[: point.trials],
+            engine=result.engine,
+        )
+    return result
+
+
 def run_spec(
     spec: SweepSpec,
     *,
@@ -130,11 +227,16 @@ def run_spec(
     backend: str | None = None,
     limit: int | None = None,
     progress: ProgressCallback | None = None,
+    precision: float | None = None,
+    max_trials: int | None = None,
+    batch_size: int | None = None,
+    z: float = 1.96,
 ) -> SweepRunReport:
-    """Execute the pending points of ``spec``, caching every result.
+    """Bring every point of ``spec`` to its trials (and precision target).
 
     Args:
-        store: Results store consulted before and written after every point.
+        store: Results store; each point's record is read on entry and its
+            accumulated record appended after every completed batch.
         engine: Engine override (defaults to the spec's own choice).
         workers: Process count for the sharded executors; vectorisable
             points run on ``vectorized-mp`` when ``workers > 1``.
@@ -142,28 +244,33 @@ def run_spec(
             (:mod:`repro.simulator.planes`).  Backends are bit-identical,
             so it is pure execution policy: cache keys ignore it, and points
             computed under one backend are cache hits under any other.
-        limit: Execute at most this many *pending* points, leaving the rest
-            for a later invocation (the CI resume check uses this to emulate
-            an interrupted run deterministically).
-        progress: Called once per point, cached or computed, in grid order.
+        limit: Execute at most this many *batches*, leaving the rest for a
+            later (resumed) invocation.  A point without a precision target
+            is one batch, so this counts points for a uniform sweep (the CI
+            resume checks use it to emulate an interrupted run).
+        progress: Called once per point in grid order, cached or computed,
+            then once after every precision-driven batch.
+        precision / max_trials / batch_size / z: Stopping-rule overrides
+            (see :func:`repro.sweeps.adaptive.resolve_targets`); a
+            ``precision`` makes any spec precision-targeted.
 
     Returns:
         A :class:`SweepRunReport`; interruptions (KeyboardInterrupt) are NOT
-        swallowed, but every point computed before one is already durable in
-        the store.
+        swallowed, but every batch completed before one is already durable
+        in the store.
     """
-    if spec.adaptive:
-        from repro.exceptions import ConfigurationError
-
-        raise ConfigurationError(
-            f"spec {spec.name!r} declares a precision target; run it with "
-            "repro.sweeps.adaptive.run_adaptive (CLI: repro sweep run "
-            "--adaptive) instead of the uniform executor"
-        )
     started = time.perf_counter()
+    targets = _targets(
+        spec, precision, max_trials=max_trials, batch_size=batch_size, z=z
+    )
+    target_block = (
+        None if targets is None
+        else {**dataclasses.asdict(targets), "initial_trials": spec.trials}
+    )
     pairs = spec_keys(spec, engine=engine, workers=workers)
     requested = engine if engine is not None else spec.engine
     outcomes: list[PointOutcome] = []
+    results: list[SweepResult | None] = []
     executed = 0
     tracer = current_tracer()
     # The cache counters must exist even when tracing is disabled (they back
@@ -172,41 +279,109 @@ def run_spec(
     counters = tracer if tracer.enabled else Tracer()
     hits_before = counters.counter_value("store.cache_hit")
     misses_before = counters.counter_value("store.cache_miss")
+
+    def budget_left() -> bool:
+        return limit is None or executed < limit
+
+    def run_batch(index: int, count: int) -> None:
+        nonlocal executed
+        outcome, stored = outcomes[index], results[index]
+        point = outcome.point
+        batch_started = time.perf_counter()
+        # The span records the batch's offset and size and — via annotate —
+        # the width it landed on: a trace replays the width trajectory.
+        with tracer.span(
+            "sweep.point", point=point.label(), key=outcome.key[:12],
+            offset=outcome.trials, trials=count,
+        ) as span:
+            result = run_sweep(
+                experiment=point.experiment(),
+                trials=count,
+                base_seed=point.base_seed,
+                engine=requested,
+                workers=workers,
+                backend=backend,
+                trial_offset=outcome.trials,
+            )
+            if stored is not None:
+                result = SweepResult(
+                    experiment=result.experiment,
+                    trials=stored.trials + result.trials,
+                    engine=result.engine,
+                )
+            store.put(outcome.key, sweep_record(point, result, result.engine, target_block))
+            estimate = None
+            if targets is not None or tracer.enabled:
+                estimate = estimate_point(point, outcome.key, result, targets)
+                span.annotate(
+                    total_trials=result.num_trials,
+                    width=estimate.width,
+                    converged=estimate.converged,
+                )
+        executed += 1
+        results[index] = result
+        outcomes[index] = dataclasses.replace(
+            outcome,
+            status="computed",
+            engine=result.engine,
+            seconds=outcome.seconds + time.perf_counter() - batch_started,
+            trials=result.num_trials,
+            computed_trials=outcome.computed_trials + count,
+            batches=outcome.batches + 1,
+            estimate=None if targets is None else estimate,
+        )
+
     try:
+        # Phase 1, in grid order: every point is served from the store or
+        # topped up to its trials.  Only the stored trial count decides a
+        # hit; trial rows are rebuilt only to top up or measure precision.
         for index, (point, key) in enumerate(pairs):
-            if key in store:
-                counters.count("store.cache_hit")
-                outcome = PointOutcome(point=point, key=key, status="cached",
-                                       engine=store.get(key).get("engine", "-"))
-            elif limit is not None and executed >= limit:
-                counters.count("store.cache_miss")
-                outcome = PointOutcome(point=point, key=key, status="pending")
-            else:
-                counters.count("store.cache_miss")
-                point_started = time.perf_counter()
-                with tracer.span(
-                    "sweep.point", point=point.label(), key=key[:12]
-                ):
-                    result = run_sweep(
-                        experiment=point.experiment(),
-                        trials=point.trials,
-                        base_seed=point.base_seed,
-                        engine=requested,
-                        workers=workers,
-                        backend=backend,
-                    )
-                    store.put(key, sweep_record(point, result, result.engine))
-                executed += 1
-                outcome = PointOutcome(
+            record = store.get(key) if key in store else None
+            stored = 0 if record is None else record["point"]["trials"]
+            hit = stored >= point.trials
+            counters.count("store.cache_hit" if hit else "store.cache_miss")
+            results.append(
+                _stored_result(record, point, targets)
+                if targets is not None or not hit else None
+            )
+            outcomes.append(
+                PointOutcome(
                     point=point,
                     key=key,
-                    status="computed",
-                    engine=result.engine,
-                    seconds=time.perf_counter() - point_started,
+                    status="cached" if hit else "pending",
+                    engine="-" if record is None else record.get("engine", "-"),
+                    trials=stored,
+                    estimate=(
+                        None if targets is None
+                        else estimate_point(point, key, results[index], targets)
+                    ),
                 )
-            outcomes.append(outcome)
+            )
+            if not hit and budget_left():
+                run_batch(index, point.trials - stored)
             if progress is not None:
-                progress(outcome, index, len(pairs))
+                progress(outcomes[index], index, len(pairs))
+        # Phase 2, precision targets only: variance-greedy allocation.  Every
+        # decision depends only on the accumulated results (max() keeps the
+        # first of tied widths, and points iterate in grid order), so an
+        # interrupted run resumed from the store replays the identical batch
+        # sequence.
+        while targets is not None and budget_left():
+            open_points = [
+                index
+                for index, outcome in enumerate(outcomes)
+                if outcome.point.trials <= outcome.trials < targets.max_trials
+                and not outcome.estimate.converged
+            ]
+            if not open_points:
+                break
+            widest = max(open_points, key=lambda index: outcomes[index].estimate.width)
+            run_batch(
+                widest,
+                min(targets.batch_size, targets.max_trials - outcomes[widest].trials),
+            )
+            if progress is not None:
+                progress(outcomes[widest], widest, len(pairs))
     finally:
         # The shards are already durable; this only freshens the derived
         # index cache, whose rewrites are amortised for large stores.
@@ -215,6 +390,7 @@ def run_spec(
         spec=spec,
         engine=requested,
         outcomes=outcomes,
+        targets=targets,
         seconds=time.perf_counter() - started,
         cache_hits=counters.counter_value("store.cache_hit") - hits_before,
         cache_misses=counters.counter_value("store.cache_miss") - misses_before,
@@ -226,32 +402,10 @@ def status_spec(
     *,
     store: ResultsStore,
     engine: str | None = None,
+    **overrides: Any,
 ) -> SweepRunReport:
-    """Coverage of ``spec`` in ``store`` without executing anything."""
-    pairs = spec_keys(spec, engine=engine)
-    tracer = current_tracer()
-    counters = tracer if tracer.enabled else Tracer()
-    hits_before = counters.counter_value("store.cache_hit")
-    misses_before = counters.counter_value("store.cache_miss")
-    outcomes = []
-    for point, key in pairs:
-        cached = key in store
-        counters.count("store.cache_hit" if cached else "store.cache_miss")
-        outcomes.append(
-            PointOutcome(
-                point=point,
-                key=key,
-                status="cached" if cached else "pending",
-                engine=(store.get(key) or {}).get("engine", "-"),
-            )
-        )
-    return SweepRunReport(
-        spec=spec,
-        engine=engine if engine is not None else spec.engine,
-        outcomes=outcomes,
-        cache_hits=counters.counter_value("store.cache_hit") - hits_before,
-        cache_misses=counters.counter_value("store.cache_miss") - misses_before,
-    )
+    """Coverage (and precision) of ``spec`` in ``store`` without executing."""
+    return run_spec(spec, store=store, engine=engine, limit=0, **overrides)
 
 
 def report_rows(
@@ -259,17 +413,43 @@ def report_rows(
     *,
     store: ResultsStore,
     engine: str | None = None,
+    precision: float | None = None,
+    **overrides: Any,
 ) -> list[dict[str, Any]]:
     """Result table of a spec, read entirely from the store.
 
-    One row per point; uncomputed points appear with empty measurement cells
-    so coverage gaps are visible rather than silently dropped.
+    One row per point, measured on the trials the sweep would serve (the
+    first ``trials`` of a longer record without a precision target, the whole
+    accumulation with one); uncomputed points appear with empty measurement
+    cells so coverage gaps are visible rather than silently dropped.
     """
-    from repro.metrics.reporting import sweep_report_rows
-
-    pairs = spec_keys(spec, engine=engine)
-    records = []
-    for point, key in pairs:
+    targets = _targets(spec, precision, **overrides)
+    rows = []
+    for point, key in spec_keys(spec, engine=engine):
         record = store.get(key)
-        records.append((point, record))
-    return sweep_report_rows(records)
+        result = _stored_result(record, point, targets)
+        estimate = estimate_point(point, key, result, targets)
+        agreement = estimate.agreement
+        rows.append(
+            {
+                "protocol": point.protocol,
+                "adversary": point.adversary,
+                "inputs": point.inputs,
+                "n": point.n,
+                "t": point.t,
+                "alpha": point.alpha,
+                "trials": estimate.trials or None,
+                "engine": None if record is None else record.get("engine"),
+                "agreement_rate": None if agreement is None else agreement.rate,
+                "agree_low": None if agreement is None else agreement.low,
+                "agree_high": None if agreement is None else agreement.high,
+                "mean_rounds": estimate.rounds_mean,
+                "rounds_low": estimate.rounds_low,
+                "rounds_high": estimate.rounds_high,
+                "mean_messages": None if result is None else result.mean_messages,
+                "validity_rate": None if result is None else result.validity_rate,
+                "ci_width": None if estimate.trials == 0 else estimate.width,
+                "status": estimate.status,
+            }
+        )
+    return rows

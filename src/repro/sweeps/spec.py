@@ -155,10 +155,11 @@ class SweepPoint:
     def canonical_base(self) -> dict[str, Any]:
         """The point's canonical dict *without* the trial count.
 
-        This is the identity the adaptive executor accumulates results under:
-        an adaptive run grows a point's trial count batch by batch, so its
-        store key must cover every configuration field except ``trials``
-        (:func:`repro.sweeps.store.adaptive_key`).
+        This is the identity the executor accumulates results under: a
+        sweep grows a point's trial count batch by batch, and a record at
+        any trial count serves every smaller one, so the store key covers
+        every configuration field except ``trials``
+        (:func:`repro.sweeps.store.point_key`).
         """
         data = self.canonical()
         del data["trials"]

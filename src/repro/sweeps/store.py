@@ -8,11 +8,12 @@ Layout (default root ``benchmarks/results/store/``)::
       index.json       # derived key -> location/metadata cache
 
 Every record is one JSON line carrying its own ``key``: the SHA-256 of the
-canonical JSON of ``{schema, engine (result family), point}``.  Because the
-key is a *content* hash of the configuration (plus the code-relevant schema
-version and engine family), re-running any spec — from the sweep executor,
-the benchmark harness or a notebook — deduplicates automatically: a point
-whose key is present is served from the store instead of recomputed.
+canonical JSON of ``{schema, engine (result family), point without its trial
+count}``.  Because the key is a *content* hash of the configuration (plus the
+code-relevant schema version and engine family), re-running any spec — from
+the sweep executor, the benchmark harness or a notebook — deduplicates
+automatically: a point whose record holds enough trials is served from the
+store instead of recomputed, and one holding fewer is only topped up.
 
 Durability contract:
 
@@ -23,7 +24,8 @@ Durability contract:
   through a per-writer temp file so that concurrent writers never collide)
   kept for humans and external tools; loading *never* trusts it — the shards
   are rescanned, and a torn final line (the kill-mid-write case) is skipped
-  and simply recomputed on resume;
+  and simply recomputed on resume (the next append to that shard first
+  terminates the torn line, so the new record parses on the next open);
 * shards are append-only.  Re-recording a key appends a new line; lookups
   return the latest record, and the older lines remain as the result
   trajectory (the benchmark harness uses this to keep one machine-readable
@@ -85,32 +87,17 @@ def engine_family(engine: str) -> str:
 def point_key(point: SweepPoint, family: str) -> str:
     """Content key of one sweep point's results under one engine family.
 
-    The hash covers the canonical point (every field, canonically ordered),
-    the engine *family* (``vectorized`` and ``vectorized-mp`` are
-    bit-identical, as are ``object`` and ``object-mp``) and the store schema
-    version — the code-relevant parameters.  Stable across dict ordering by
-    construction (:func:`repro.sweeps.spec.canonical_json`).
-    """
-    if family not in ("vectorized", "object"):
-        raise ConfigurationError(
-            f"point keys are per result family ('vectorized'/'object'), got {family!r}"
-        )
-    payload = {
-        "schema": STORE_SCHEMA_VERSION,
-        "engine": family,
-        "point": point.canonical(),
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def adaptive_key(point: SweepPoint, family: str) -> str:
-    """Content key of one point's *adaptive* (accumulating) result record.
-
-    Adaptive runs grow a point's trial count batch by batch, so the key
-    covers every configuration field except ``trials``
-    (:meth:`SweepPoint.canonical_base`): all batches of one point — across
-    interruptions, resumes and precision changes — accumulate under one key,
-    and the append-only shard lines are the batch-by-batch trajectory.
+    The hash covers every configuration field *except* ``trials``
+    (:meth:`SweepPoint.canonical_base`), the engine *family* (``vectorized``
+    and ``vectorized-mp`` are bit-identical, as are ``object`` and
+    ``object-mp``) and the store schema version.  Being trials-independent,
+    one key holds a point's results at any trial count: a record with at
+    least the requested trials is served as its prefix, a shorter one is
+    topped up, and the append-only shard lines are the accumulation
+    trajectory.  The payload's ``"kind": "adaptive"`` tag predates the
+    single key and is kept so that existing stores keep hitting.  Stable
+    across dict ordering by construction
+    (:func:`repro.sweeps.spec.canonical_json`).
     """
     if family not in ("vectorized", "object"):
         raise ConfigurationError(
@@ -136,59 +123,41 @@ def experiment_key(experiment_id: str, mode: str) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def sweep_record(point: SweepPoint, result: TrialsResult, engine: str) -> dict[str, Any]:
-    """Build the stored record for one computed sweep point."""
-    return {
+def sweep_record(
+    point: SweepPoint,
+    result: TrialsResult,
+    engine: str,
+    targets: Mapping[str, Any] | None = None,
+) -> dict[str, Any]:
+    """Build the stored record for one point's accumulated result.
+
+    The embedded point carries the *accumulated* trial count, so
+    :func:`result_from_record` rebuilds the full :class:`SweepResult`
+    unchanged.  ``targets`` (the precision stopping rule the accumulation
+    ran under) is recorded only when one was in force.
+    """
+    fields = list(TrialSummary.__dataclass_fields__)
+    record = {
         "kind": "sweep-point",
         "schema": STORE_SCHEMA_VERSION,
         "engine": engine,
         "engine_family": engine_family(engine),
-        "point": point.canonical(),
+        "point": {**point.canonical(), "trials": result.num_trials},
         "summary": result.summary(),
-        "trial_fields": list(TrialSummary.__dataclass_fields__),
+        "trial_fields": fields,
         "trials": [
-            [getattr(summary, name) for name in TrialSummary.__dataclass_fields__]
-            for summary in result.trials
+            [getattr(summary, name) for name in fields] for summary in result.trials
         ],
     }
-
-
-def adaptive_record(
-    point: SweepPoint,
-    result: TrialsResult,
-    engine: str,
-    *,
-    precision: float,
-    batch_size: int,
-    max_trials: int,
-    z: float,
-) -> dict[str, Any]:
-    """Build the stored record for one point's accumulated adaptive result.
-
-    The layout is a :func:`sweep_record` whose embedded point carries the
-    *accumulated* trial count (so :func:`result_from_record` rebuilds the
-    full :class:`SweepResult` unchanged), plus an ``adaptive`` block recording
-    the targets the accumulation ran under.
-    """
-    from dataclasses import replace
-
-    accumulated = replace(point, trials=result.num_trials)
-    record = sweep_record(accumulated, result, engine)
-    record["kind"] = "adaptive-point"
-    record["adaptive"] = {
-        "precision": precision,
-        "batch_size": batch_size,
-        "max_trials": max_trials,
-        "z": z,
-        "initial_trials": point.trials,
-    }
+    if targets is not None:
+        record["targets"] = dict(targets)
     return record
 
 
 def result_from_record(record: Mapping[str, Any]) -> SweepResult:
     """Rebuild a full :class:`SweepResult` from a stored sweep-point record
-    (one-shot ``sweep-point`` and accumulated ``adaptive-point`` records share
-    the trial-table layout)."""
+    (``adaptive-point`` records written by earlier versions share the
+    trial-table layout)."""
     if record.get("kind") not in ("sweep-point", "adaptive-point"):
         raise ConfigurationError(
             f"record is not a sweep point (kind={record.get('kind')!r})"
@@ -218,6 +187,10 @@ class ResultsStore:
         self._records: dict[str, dict[str, Any]] = {}
         self._lines = 0
         self._index_dirty = False
+        #: Shards whose last line lacks its newline (a torn append): the
+        #: next append to one first terminates it, or the glued line would
+        #: fail to parse on the next open and lose the new record with it.
+        self._unterminated: set[Path] = set()
         self._load()
 
     # -- loading -------------------------------------------------------
@@ -227,8 +200,10 @@ class ResultsStore:
     def _load(self) -> None:
         for shard in sorted(self.root.glob("shard-*.jsonl")):
             with shard.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
+                for raw in handle:
+                    if not raw.endswith("\n"):
+                        self._unterminated.add(shard)
+                    line = raw.strip()
                     if not line:
                         continue
                     try:
@@ -284,10 +259,13 @@ class ResultsStore:
         }
         line = json.dumps(stamped, sort_keys=True, separators=(",", ":"))
         path = self._shard_path(key)
+        if path in self._unterminated:
+            line = "\n" + line
         with path.open("a", encoding="utf-8") as handle:
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+        self._unterminated.discard(path)
         self._records[key] = stamped
         self._lines += 1
         # The index is a derived cache, so its rewrite can be amortised for
@@ -296,17 +274,6 @@ class ResultsStore:
         self._index_dirty = True
         if len(self._records) <= 512 or self._lines % 64 == 0:
             self.flush_index()
-
-    def put_sweep(self, point: SweepPoint, result: TrialsResult, engine: str) -> str:
-        """Store one computed sweep point; returns its content key."""
-        key = point_key(point, engine_family(engine))
-        self.put(key, sweep_record(point, result, engine))
-        return key
-
-    def get_sweep(self, point: SweepPoint, family: str) -> SweepResult | None:
-        """The cached result of ``point`` under ``family`` (or None)."""
-        record = self.get(point_key(point, family))
-        return None if record is None else result_from_record(record)
 
     # -- derived index -------------------------------------------------
     def flush_index(self) -> None:

@@ -1,16 +1,18 @@
-"""Tests for adaptive precision-targeted sweep execution.
+"""Tests for precision-targeted sweep execution.
 
-Covers the acceptance surfaces of :mod:`repro.sweeps.adaptive`:
+Covers the acceptance surfaces of :mod:`repro.sweeps.adaptive` and the
+precision-driven phase of :func:`repro.sweeps.run_spec`:
 
-* the reproducibility contract — accumulated adaptive results are
-  bit-identical to a one-shot ``run_sweep`` of the same total, and an
-  interrupted run (batch limit, or a kill that tears a store line) resumed
-  later lands on the identical batch sequence and estimates;
+* the reproducibility contract — accumulated results are bit-identical to
+  a one-shot ``run_sweep`` of the same total, and an interrupted run (batch
+  limit, or a kill that tears a store line) resumed later lands on the
+  identical batch sequence and estimates;
 * merge invariance over arbitrary ``trial_offset`` batch splits
   (hypothesis property tests: reassembly, associativity, permutation);
 * the stopping rule (targets resolution, spec validation, canonical-text
-  backward compatibility) and the store's trials-independent adaptive keys;
-* the ``repro sweep`` CLI in adaptive mode.
+  backward compatibility) and the store's one trials-independent key, which
+  uniform and precision-targeted runs share;
+* the ``repro sweep`` CLI under a precision target.
 """
 
 from __future__ import annotations
@@ -31,17 +33,15 @@ from repro.sweeps import (
     PrecisionTargets,
     ResultsStore,
     SweepSpec,
-    adaptive_key,
-    adaptive_keys,
     adaptive_plan_table,
-    adaptive_report_rows,
-    adaptive_status,
     estimate_point,
     point_key,
+    report_rows,
     resolve_targets,
     result_from_record,
-    run_adaptive,
     run_spec,
+    spec_keys,
+    status_spec,
 )
 
 #: A tiny adaptive grid: 2 vectorizable points that converge in a few batches.
@@ -62,9 +62,30 @@ TINY_ADAPTIVE = SweepSpec(
 )
 
 
+#: The same grid without a precision target: a uniform sweep of 4 trials.
+TINY_UNIFORM = dataclasses.replace(
+    TINY_ADAPTIVE, precision=None, batch_size=None, max_trials=None
+)
+
+
 def trial_tuples(result: TrialsResult) -> list[tuple]:
     """Per-trial scalar rows, for exact (bit-identical) comparison."""
     return [dataclasses.astuple(summary) for summary in result.trials]
+
+
+def stored(store: ResultsStore, key: str) -> TrialsResult:
+    """The accumulated result a store holds under ``key``."""
+    return result_from_record(store.get(key))
+
+
+def one_shot(point, trials: int) -> TrialsResult:
+    """A fresh, unsplit ``run_sweep`` of ``point`` at ``trials`` trials."""
+    return run_sweep(
+        experiment=point.experiment(),
+        trials=trials,
+        base_seed=point.base_seed,
+        engine=TINY_ADAPTIVE.engine,
+    )
 
 
 class TestSpecAdaptiveFields:
@@ -155,64 +176,127 @@ class TestTargetsResolution:
             PrecisionTargets(precision=0.1, batch_size=1, max_trials=1, z=0)
 
 
-class TestAdaptiveKeys:
+class TestOneKey:
     def test_key_is_independent_of_the_trial_count(self):
         point = TINY_ADAPTIVE.expand()[0]
         grown = dataclasses.replace(point, trials=123)
-        assert adaptive_key(point, "vectorized") == adaptive_key(grown, "vectorized")
-        # ... but still sensitive to every other field and the family.
-        other_t = dataclasses.replace(point, t=point.t + 1)
-        assert adaptive_key(point, "vectorized") != adaptive_key(other_t, "vectorized")
-        assert adaptive_key(point, "vectorized") != adaptive_key(point, "object")
+        assert point_key(point, "vectorized") == point_key(grown, "vectorized")
 
-    def test_adaptive_and_uniform_keys_never_collide(self):
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"protocol": "committee-ba"},
+            {"adversary": "null"},
+            {"inputs": "unanimous-1"},
+            {"n": 65},
+            {"t": 5},
+            {"base_seed": 78},
+            {"alpha": 2.0},
+            {"max_rounds": 99},
+            {"allow_timeout": True},
+            {"topology": "ring"},
+            {"loss": 0.01},
+        ],
+    )
+    def test_key_separates_every_other_field(self, change):
         point = TINY_ADAPTIVE.expand()[0]
-        assert adaptive_key(point, "vectorized") != point_key(point, "vectorized")
+        other = dataclasses.replace(point, **change)
+        assert point_key(point, "vectorized") != point_key(other, "vectorized")
+
+    def test_key_separates_the_result_family(self):
+        point = TINY_ADAPTIVE.expand()[0]
+        assert point_key(point, "vectorized") != point_key(point, "object")
 
     def test_key_requires_a_result_family(self):
         point = TINY_ADAPTIVE.expand()[0]
         with pytest.raises(ConfigurationError):
-            adaptive_key(point, "vectorized-mp")
+            point_key(point, "vectorized-mp")
 
     def test_spec_expansion_pairs_points_with_keys(self):
-        pairs = adaptive_keys(TINY_ADAPTIVE)
+        pairs = spec_keys(TINY_ADAPTIVE)
         assert [point.t for point, _ in pairs] == [4, 6]
         assert len({key for _, key in pairs}) == len(pairs)
+        # Uniform and precision-targeted runs of one grid share every key.
+        assert [key for _, key in spec_keys(TINY_UNIFORM)] == [
+            key for _, key in pairs
+        ]
+
+    def test_uniform_run_after_an_adaptive_run_is_all_cached(self, tmp_path):
+        store = ResultsStore(tmp_path / "store")
+        adaptive = run_spec(TINY_ADAPTIVE, store=store)
+        assert all(o.trials > TINY_UNIFORM.trials for o in adaptive.outcomes)
+        uniform = run_spec(TINY_UNIFORM, store=store)
+        assert (uniform.computed, uniform.cached, uniform.pending) == (0, 2, 0)
+        assert uniform.computed_trials == 0
+        assert (uniform.cache_hits, uniform.cache_misses) == (2, 0)
+        for outcome in uniform.outcomes:
+            served = stored(store, outcome.key).trials[: outcome.point.trials]
+            fresh = one_shot(outcome.point, outcome.point.trials)
+            assert [dataclasses.astuple(s) for s in served] == trial_tuples(fresh)
+
+    def test_report_rows_serve_the_prefix_of_a_longer_record(self, tmp_path):
+        store = ResultsStore(tmp_path / "store")
+        run_spec(TINY_ADAPTIVE, store=store)
+        rows = report_rows(TINY_UNIFORM, store=store)
+        for row, (point, key) in zip(rows, spec_keys(TINY_UNIFORM)):
+            fresh = one_shot(point, point.trials)
+            longer = stored(store, key)
+            assert longer.num_trials > point.trials
+            assert row["trials"] == point.trials
+            assert row["agreement_rate"] == fresh.agreement_rate
+            assert row["mean_rounds"] == fresh.mean_rounds
+            assert row["mean_messages"] == fresh.mean_messages
+            assert row["validity_rate"] == fresh.validity_rate
+            assert row["status"] == "converged"
+        # The prefix is what makes the rows differ from the stored summary.
+        assert any(
+            row["mean_rounds"] != stored(store, key).mean_rounds
+            for row, (_, key) in zip(rows, spec_keys(TINY_UNIFORM))
+        )
 
 
 class TestBitIdentity:
     def test_accumulated_result_equals_one_shot_run(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
-        report = run_adaptive(TINY_ADAPTIVE, store=store)
+        report = run_spec(TINY_ADAPTIVE, store=store)
         assert report.converged == report.total == 2
-        for state in report.states:
-            one_shot = run_sweep(
-                experiment=state.point.experiment(),
-                trials=state.result.num_trials,
-                base_seed=state.point.base_seed,
-                engine=TINY_ADAPTIVE.engine,
+        for outcome in report.outcomes:
+            result = stored(store, outcome.key)
+            assert result.num_trials == outcome.trials
+            assert trial_tuples(result) == trial_tuples(
+                one_shot(outcome.point, outcome.trials)
             )
-            assert trial_tuples(state.result) == trial_tuples(one_shot)
 
     def test_store_record_reconstructs_the_accumulated_result(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
-        report = run_adaptive(TINY_ADAPTIVE, store=store)
-        for state in report.states:
-            record = store.get(state.key)
-            assert record["kind"] == "adaptive-point"
-            assert record["adaptive"]["precision"] == 0.2
-            assert record["adaptive"]["initial_trials"] == TINY_ADAPTIVE.trials
+        report = run_spec(TINY_ADAPTIVE, store=store)
+        for outcome in report.outcomes:
+            record = store.get(outcome.key)
+            assert record["kind"] == "sweep-point"
+            assert record["point"]["trials"] == outcome.trials
+            assert record["targets"]["precision"] == 0.2
+            assert record["targets"]["initial_trials"] == TINY_ADAPTIVE.trials
             rebuilt = result_from_record(record)
-            assert trial_tuples(rebuilt) == trial_tuples(state.result)
+            assert trial_tuples(rebuilt) == trial_tuples(
+                one_shot(outcome.point, outcome.trials)
+            )
             # The record survives a fresh store open (JSONL is the truth).
             reopened = ResultsStore(tmp_path / "store")
-            assert trial_tuples(result_from_record(reopened.get(state.key))) == (
-                trial_tuples(state.result)
+            assert trial_tuples(stored(reopened, outcome.key)) == (
+                trial_tuples(rebuilt)
             )
+
+    def test_uniform_records_carry_no_targets_block(self, tmp_path):
+        store = ResultsStore(tmp_path / "store")
+        report = run_spec(TINY_UNIFORM, store=store)
+        for outcome in report.outcomes:
+            record = store.get(outcome.key)
+            assert record["kind"] == "sweep-point"
+            assert "targets" not in record
 
     def test_batch_trajectory_is_preserved_in_the_shards(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
-        report = run_adaptive(TINY_ADAPTIVE, store=store)
+        report = run_spec(TINY_ADAPTIVE, store=store)
         # One shard line per executed batch: the append-only trajectory.
         assert store.appended_lines == report.computed_batches
 
@@ -220,96 +304,103 @@ class TestBitIdentity:
 class TestResume:
     def test_second_invocation_computes_nothing(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
-        first = run_adaptive(TINY_ADAPTIVE, store=store)
-        second = run_adaptive(TINY_ADAPTIVE, store=store)
+        first = run_spec(TINY_ADAPTIVE, store=store)
+        second = run_spec(TINY_ADAPTIVE, store=store)
         assert second.computed_trials == 0
         assert second.computed_batches == 0
         assert "+0 computed" in second.summary_line()
-        assert [e.trials for e in second.estimates] == [
-            e.trials for e in first.estimates
+        assert [o.trials for o in second.outcomes] == [
+            o.trials for o in first.outcomes
         ]
 
     def test_interrupted_run_resumes_to_identical_estimates(self, tmp_path):
-        uninterrupted = run_adaptive(
-            TINY_ADAPTIVE, store=ResultsStore(tmp_path / "full")
-        )
+        full = ResultsStore(tmp_path / "full")
+        uninterrupted = run_spec(TINY_ADAPTIVE, store=full)
         store = ResultsStore(tmp_path / "split")
         for batch_limit in (1, 2):
-            partial = run_adaptive(TINY_ADAPTIVE, store=store, limit=batch_limit)
+            partial = run_spec(TINY_ADAPTIVE, store=store, limit=batch_limit)
             assert partial.computed_batches <= batch_limit
-        resumed = run_adaptive(TINY_ADAPTIVE, store=ResultsStore(tmp_path / "split"))
-        assert [e.trials for e in resumed.estimates] == [
-            e.trials for e in uninterrupted.estimates
+        split = ResultsStore(tmp_path / "split")
+        resumed = run_spec(TINY_ADAPTIVE, store=split)
+        assert [o.trials for o in resumed.outcomes] == [
+            o.trials for o in uninterrupted.outcomes
         ]
-        for res, unint in zip(resumed.states, uninterrupted.states):
-            assert trial_tuples(res.result) == trial_tuples(unint.result)
+        for res, unint in zip(resumed.outcomes, uninterrupted.outcomes):
+            assert trial_tuples(stored(split, res.key)) == trial_tuples(
+                stored(full, unint.key)
+            )
 
     def test_kill_mid_write_with_torn_line_recomputes_only_that_batch(
         self, tmp_path
     ):
-        uninterrupted = run_adaptive(
-            TINY_ADAPTIVE, store=ResultsStore(tmp_path / "full")
-        )
+        full = ResultsStore(tmp_path / "full")
+        uninterrupted = run_spec(TINY_ADAPTIVE, store=full)
         # Interrupt after 3 batches, then emulate a kill mid-append: a torn
         # (truncated JSON) final line on one point's shard.
         store_root = tmp_path / "torn"
-        partial = run_adaptive(TINY_ADAPTIVE, store=ResultsStore(store_root), limit=3)
-        durable = {
-            state.key: state.trials
-            for state in partial.states
-            if state.result is not None
-        }
-        victim = partial.states[0]
+        partial_store = ResultsStore(store_root)
+        partial = run_spec(TINY_ADAPTIVE, store=partial_store, limit=3)
+        durable = {o.key: o.trials for o in partial.outcomes if o.trials}
+        victim = partial.outcomes[0]
+        victim_result = stored(partial_store, victim.key)
         shard = store_root / f"shard-{victim.key[:2]}.jsonl"
         with shard.open("a", encoding="utf-8") as handle:
-            handle.write('{"key": "' + victim.key + '", "kind": "adaptive-po')
+            handle.write('{"key": "' + victim.key + '", "kind": "sweep-po')
         # The torn line is skipped on load: the in-flight batch was never
         # acknowledged, so the durable state is exactly the 3-batch prefix.
         reopened = ResultsStore(store_root)
-        assert trial_tuples(result_from_record(reopened.get(victim.key))) == (
-            trial_tuples(victim.result)
+        assert trial_tuples(stored(reopened, victim.key)) == (
+            trial_tuples(victim_result)
         )
-        resumed = run_adaptive(TINY_ADAPTIVE, store=reopened)
+        resumed = run_spec(TINY_ADAPTIVE, store=reopened)
         # No recomputation beyond what was not yet durable...
         assert resumed.computed_trials == (
             uninterrupted.computed_trials - sum(durable.values())
         )
         # ... and the final estimates are bit-identical to the
-        # uninterrupted run.
-        for res, unint in zip(resumed.states, uninterrupted.states):
-            assert trial_tuples(res.result) == trial_tuples(unint.result)
-        for res, unint in zip(resumed.estimates, uninterrupted.estimates):
-            assert res.width == unint.width
-            assert res.converged and unint.converged
-
-    def test_uniform_executor_rejects_adaptive_specs(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="adaptive"):
-            run_spec(TINY_ADAPTIVE, store=ResultsStore(tmp_path / "store"))
+        # uninterrupted run, also after the resumed appends are reopened.
+        for res, unint in zip(resumed.outcomes, uninterrupted.outcomes):
+            assert trial_tuples(stored(reopened, res.key)) == trial_tuples(
+                stored(full, unint.key)
+            )
+            assert trial_tuples(stored(ResultsStore(store_root), res.key)) == (
+                trial_tuples(stored(full, unint.key))
+            )
+        for res, unint in zip(resumed.outcomes, uninterrupted.outcomes):
+            assert res.estimate.width == unint.estimate.width
+            assert res.estimate.converged and unint.estimate.converged
 
 
 class TestAllocationPolicy:
     def test_progress_reports_every_batch_in_allocation_order(self, tmp_path):
         outcomes = []
-        report = run_adaptive(
+        report = run_spec(
             TINY_ADAPTIVE,
             store=ResultsStore(tmp_path / "store"),
-            progress=lambda outcome, batches: outcomes.append(outcome),
+            progress=lambda outcome, index, total: outcomes.append(outcome),
         )
+        # On a fresh store every progress call reports one executed batch.
         assert len(outcomes) == report.computed_batches
-        assert sum(outcome.batch_trials for outcome in outcomes) == (
-            report.computed_trials
-        )
+        previous: dict[str, tuple[int, int]] = {}
+        batch_trials = []
+        for outcome in outcomes:
+            trials, batches = previous.get(outcome.key, (0, 0))
+            assert outcome.batches == batches + 1
+            batch_trials.append(outcome.computed_trials - trials)
+            previous[outcome.key] = (outcome.computed_trials, outcome.batches)
+        assert all(0 < size <= TINY_ADAPTIVE.batch_size for size in batch_trials)
+        assert sum(batch_trials) == report.computed_trials
         # Phase 1 seeds every point in grid order before any greedy batch.
         seed_keys = [outcome.key for outcome in outcomes[: report.total]]
-        assert seed_keys == [state.key for state in report.states]
+        assert seed_keys == [outcome.key for outcome in report.outcomes]
         # The last batch of each point is the one that converged it.
         final = {outcome.key: outcome for outcome in outcomes}
-        for estimate in report.estimates:
-            assert final[estimate.key].converged
+        for outcome in report.outcomes:
+            assert final[outcome.key].estimate.converged
 
     def test_ceiling_bounds_unconverged_points(self, tmp_path):
         # An unreachably tight target: every point must stop at the ceiling.
-        report = run_adaptive(
+        report = run_spec(
             TINY_ADAPTIVE,
             store=ResultsStore(tmp_path / "store"),
             precision=0.001,
@@ -317,23 +408,26 @@ class TestAllocationPolicy:
         )
         assert report.converged == 0
         assert report.at_ceiling == report.total
-        assert all(e.trials == 12 for e in report.estimates)
-        assert all(e.status == "ceiling" for e in report.estimates)
+        assert all(o.estimate.trials == 12 for o in report.outcomes)
+        assert all(o.estimate.status == "ceiling" for o in report.outcomes)
 
     def test_estimates_of_an_empty_store_are_pending(self, tmp_path):
-        report = adaptive_status(
+        report = status_spec(
             TINY_ADAPTIVE, store=ResultsStore(tmp_path / "store")
         )
-        assert all(e.status == "pending" for e in report.estimates)
-        assert all(math.isinf(e.width) for e in report.estimates)
+        assert all(o.estimate.status == "pending" for o in report.outcomes)
+        assert all(math.isinf(o.estimate.width) for o in report.outcomes)
         assert report.total_trials == 0
 
     def test_estimate_point_measures_both_widths(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
-        report = run_adaptive(TINY_ADAPTIVE, store=store)
+        report = run_spec(TINY_ADAPTIVE, store=store)
         targets = report.targets
-        for state in report.states:
-            estimate = estimate_point(state.point, state.key, state.result, targets)
+        for outcome in report.outcomes:
+            estimate = estimate_point(
+                outcome.point, outcome.key, stored(store, outcome.key), targets
+            )
+            assert estimate == outcome.estimate
             assert estimate.width == max(
                 estimate.agreement.width, estimate.rounds_rel_width
             )
@@ -451,12 +545,6 @@ class TestAdaptiveCli:
         assert "adaptive sweep smoke" in out
         assert "precision 0.4" in out
 
-    def test_adaptive_flag_without_a_target_fails_cleanly(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["sweep", "run", "smoke", "--store", store,
-                     "--adaptive"]) == 2
-        assert "no precision target" in capsys.readouterr().err
-
     def test_status_and_report_show_precision_columns(self, tmp_path, capsys):
         spec_path = tmp_path / "tiny-adaptive.json"
         spec_path.write_text(TINY_ADAPTIVE.to_json(), encoding="utf-8")
@@ -477,8 +565,8 @@ class TestAdaptiveCli:
     def test_library_spec_is_adaptive_and_fewer_than_worst_case_uniform(
         self, tmp_path
     ):
-        # The library's crossover-adaptive entry must be runnable by the
-        # adaptive executor and beat the uniform worst-case sizing; the
+        # The library's crossover-adaptive entry must carry a precision
+        # target and beat the uniform worst-case sizing; the
         # benchmark asserts the actual savings floor.
         from repro.sweeps import get_spec
 
@@ -490,8 +578,8 @@ class TestAdaptiveCli:
         rows = adaptive_plan_table(spec)
         assert len(rows) == 10
 
-    def test_adaptive_report_rows_mark_uncomputed_points(self, tmp_path):
-        rows = adaptive_report_rows(
+    def test_report_rows_mark_uncomputed_points(self, tmp_path):
+        rows = report_rows(
             TINY_ADAPTIVE, store=ResultsStore(tmp_path / "store")
         )
         assert all(row["status"] == "pending" for row in rows)

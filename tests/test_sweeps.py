@@ -8,6 +8,7 @@ re-run, only pending points execute) and concurrent writers, shard-merge exactne
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from repro.sweeps import (
     SweepPoint,
     SweepSpec,
     canonical_json,
+    engine_family,
     get_spec,
     markdown_library_table,
     point_key,
@@ -36,6 +38,7 @@ from repro.sweeps import (
     spec_from_file,
     spec_keys,
     status_spec,
+    sweep_record,
 )
 from repro.sweeps.executor import report_rows
 
@@ -211,7 +214,8 @@ class TestStore:
         result = run_sweep(experiment=point.experiment(), trials=point.trials,
                            base_seed=point.base_seed)
         store = ResultsStore(tmp_path / "store")
-        key = store.put_sweep(point, result, result.engine)
+        key = point_key(point, engine_family(result.engine))
+        store.put(key, sweep_record(point, result, result.engine))
         assert key in store and len(store) == 1
 
         reloaded = ResultsStore(tmp_path / "store")
@@ -240,6 +244,14 @@ class TestStore:
             handle.write('{"key": "bb22", "kind": "sweep-po')  # kill mid-write
         reloaded = ResultsStore(tmp_path / "store")
         assert "aa11" in reloaded and "bb22" not in reloaded
+        # The next append to the torn shard must survive another reopen
+        # rather than be glued onto the unterminated line.
+        reloaded.put("aa33", {"kind": "experiment", "rows": [3]})
+        assert "aa33" in reloaded
+        reopened = ResultsStore(tmp_path / "store")
+        assert "aa11" in reopened and "aa33" in reopened
+        assert "bb22" not in reopened
+        assert reopened.get("aa33")["rows"] == [3]
 
     def test_index_is_rewritten_and_derived(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
@@ -311,6 +323,22 @@ class TestExecutorResume:
     def test_cached_results_equal_fresh_results(self, tmp_path):
         store = ResultsStore(tmp_path / "store")
         run_spec(TINY, store=store)
+        for point, key in spec_keys(TINY):
+            fresh = run_sweep(experiment=point.experiment(), trials=point.trials,
+                              base_seed=point.base_seed)
+            assert result_from_record(store.get(key)).trials == fresh.trials
+
+    def test_longer_run_tops_up_only_the_missing_trials(self, tmp_path):
+        store = ResultsStore(tmp_path / "store")
+        short = dataclasses.replace(TINY, trials=1)
+        run_spec(short, store=store)
+        report = run_spec(TINY, store=store)
+        assert (report.computed, report.cached) == (4, 0)
+        assert (report.cache_hits, report.cache_misses) == (0, 4)
+        assert [o.computed_trials for o in report.outcomes] == [
+            TINY.trials - short.trials
+        ] * 4
+        assert report.computed_trials == 4 * (TINY.trials - short.trials)
         for point, key in spec_keys(TINY):
             fresh = run_sweep(experiment=point.experiment(), trials=point.trials,
                               base_seed=point.base_seed)
