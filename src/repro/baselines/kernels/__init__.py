@@ -58,8 +58,8 @@ class KernelSpec:
             per trial in trial order.  Trial ``k`` of the call uses the
             Philox key ``(seed, trial_offset + k)`` and is recorded with
             ``seed == trial_offset + k``, so contiguous sub-batches
-            concatenate bit-identically to one full batch (the sharded
-            ``vectorized-mp`` executor's contract).
+            concatenate bit-identically to one full batch (the contract
+            of :mod:`repro.engine`'s trial-range sharder).
         hooks: The adversary hook surface the kernel implements (the
             :mod:`repro.adversary.kernels.capabilities` vocabulary), from
             which ``behaviours`` and ``inapplicable`` are derived.

@@ -12,9 +12,8 @@ Python:
     (mean/median/max rounds, agreement and validity rates).  Dispatches via
     :func:`repro.engine.run_sweep`: the default ``--engine auto`` takes the
     batched vectorised fast path when the configuration has one, ``--engine
-    object`` forces the faithful simulator and ``--workers`` fans sweeps out
-    over processes (trial-range sharding for vectorised sweeps, seed-range
-    fan-out for object sweeps).
+    object`` forces the faithful simulator and ``--workers`` shards the trial
+    range over processes, whichever engine runs it.
 
 ``sweep``
     The orchestration layer (:mod:`repro.sweeps`): ``run`` brings every
@@ -161,14 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     trials_parser.add_argument("--trials", type=int, default=10,
                                help="number of independent trials (default 10)")
     trials_parser.add_argument("--engine", choices=list(ENGINES), default="auto",
-                               help="execution engine (default auto: the vectorized "
+                               help="result family (default auto: the vectorized "
                                     "fast path when the configuration has one, the "
                                     "object simulator otherwise; --engine object "
                                     "forces the faithful simulator)")
     trials_parser.add_argument("--workers", type=int, default=None,
-                               help="process count for multi-process sweeps; a value "
-                                    "> 1 shards vectorized sweeps by trial range and "
-                                    "fans object sweeps out by seed range")
+                               help="process count; a value > 1 shards the trial "
+                                    "range over processes on either engine "
+                                    "(bit-identical to single-process)")
     trials_parser.add_argument("--backend", choices=list(available_backends()),
                                default=None,
                                help="plane backend for the vectorized kernels "
@@ -226,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_spec_arguments(sweep_run, store=True)
     sweep_run.add_argument("--workers", type=int, default=None,
-                           help="process count; > 1 shards vectorized points by "
-                                "trial range (bit-identical to single-process)")
+                           help="process count; > 1 shards each point's trial "
+                                "range (bit-identical to single-process)")
     sweep_run.add_argument("--backend", choices=list(available_backends()),
                            default=None,
                            help="plane backend for the vectorized kernels; "
@@ -349,10 +348,6 @@ def _command_trials(args: argparse.Namespace) -> int:
         inputs=args.inputs, alpha=args.alpha,
         topology=args.topology, loss=args.loss,
     )
-    engine = args.engine
-    if engine == "object" and args.workers is not None and args.workers > 1:
-        # An explicit worker count is an explicit request for the pool.
-        engine = "object-mp"
     tracer = _cli_tracer(args.trace, "trials")
     with activate(tracer):
         with tracer.span("cli.trials", protocol=args.protocol,
@@ -360,7 +355,7 @@ def _command_trials(args: argparse.Namespace) -> int:
                          trials=args.trials):
             trials = run_sweep(
                 experiment=experiment, trials=args.trials, base_seed=args.seed,
-                engine=engine, workers=args.workers, backend=args.backend,
+                engine=args.engine, workers=args.workers, backend=args.backend,
             )
     row = {"engine": trials.engine, **collect_trials_metrics(trials)}
     print(format_table([row]))

@@ -353,38 +353,12 @@ class TrialsResult:
 
     Aggregates are *mergeable*: every statistic is a property computed from
     the per-trial list, so concatenating the ``trials`` of several partial
-    results of the same experiment (:meth:`merge`) reproduces the aggregate
-    of the unsplit sweep exactly — the property the sharded executors rely
-    on.
+    results of the same experiment reproduces the aggregate of the unsplit
+    sweep exactly — the property sharded sweeps and sweep top-ups rely on.
     """
 
     experiment: AgreementExperiment
     trials: list[TrialSummary]
-
-    @classmethod
-    def merge(cls, parts: Sequence["TrialsResult"]) -> "TrialsResult":
-        """Concatenate partial results of the same experiment, in order.
-
-        Because all aggregate statistics derive from the per-trial list, the
-        merged result is exactly the aggregate the unsplit sweep would have
-        produced; sub-result order is preserved (shard workers hand back
-        contiguous trial ranges in range order).
-
-        Raises:
-            ConfigurationError: When ``parts`` is empty or the parts describe
-                different experiments.
-        """
-        if not parts:
-            raise ConfigurationError("cannot merge zero partial results")
-        experiment = parts[0].experiment
-        if any(part.experiment != experiment for part in parts[1:]):
-            raise ConfigurationError(
-                "cannot merge partial results of different experiments"
-            )
-        return cls(
-            experiment=experiment,
-            trials=[summary for part in parts for summary in part.trials],
-        )
 
     @property
     def num_trials(self) -> int:
@@ -493,11 +467,10 @@ def run_trials(
 
     Trial ``k`` uses master seed ``base_seed + k``, so sweeps are reproducible
     and trivially parallelisable by seed range.  Dispatch (including the
-    optional multiprocessing seed-range executor, selected via ``workers``,
-    and the per-protocol batched kernels) lives in
-    :func:`repro.engine.run_sweep`; this wrapper always uses the faithful
-    object simulator and returns the same per-trial results regardless of
-    worker count.
+    process pool that ``workers > 1`` shards the seed range over, and the
+    per-protocol batched kernels) lives in :func:`repro.engine.run_sweep`;
+    this wrapper always uses the faithful object simulator and returns the
+    same per-trial results regardless of worker count.
     """
     from repro.engine import run_sweep
 
@@ -505,6 +478,6 @@ def run_trials(
         experiment=experiment,
         trials=num_trials,
         base_seed=base_seed,
-        engine="object-mp" if workers is not None and workers > 1 else "object",
+        engine="object",
         workers=workers,
     )

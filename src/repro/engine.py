@@ -1,8 +1,8 @@
-"""Unified sweep execution — one entry point, four engines.
+"""Unified sweep execution — one entry point, two result families.
 
 Every multi-trial experiment in the repository is a *sweep*: the same
 ``(n, t, protocol, adversary, inputs)`` configuration repeated over a seed
-range.  Four executors can run a sweep:
+range.  Two result families can run a sweep:
 
 ``vectorized``
     A batched NumPy kernel: all trials execute simultaneously on
@@ -19,25 +19,19 @@ range.  Four executors can run a sweep:
     (:mod:`repro.simulator.scheduler`), one seeded run per trial.  Supports
     every protocol and adversary.
 
-``vectorized-mp``
-    The batched kernel sharded over a ``ProcessPoolExecutor`` by trial range:
-    the ``trials`` counter range is split into contiguous per-worker
-    sub-batches, each worker runs its range on the sweep's global Philox keys
-    (trial ``k`` always uses key ``(base_seed, k)`` — the kernels'
-    ``trial_offset`` contract) and the partial aggregates are merged exactly
-    with :meth:`repro.core.runner.TrialsResult.merge`.  Bit-identical to
-    ``vectorized``; only wall-clock time changes.
-
-``object-mp``
-    The object simulator fanned out over a ``ProcessPoolExecutor`` by seed
-    range.  Bit-identical to ``object`` (trial ``k`` always uses master seed
-    ``base_seed + k``); only wall-clock time changes.
-
 :func:`run_sweep` auto-dispatches between them (``engine="auto"``) or obeys an
 explicit choice.  The decision logic is exposed separately as
 :func:`select_engine` so callers (and the README's dispatch table) can see
 which configurations take the fast path.  :func:`run_coin_sweep` provides the
 same dispatch for the standalone common-coin Monte-Carlo (experiment E2).
+
+Parallelism is orthogonal to the family: ``workers > 1`` splits the trial
+counter range over a ``ProcessPoolExecutor`` in contiguous chunks, whichever
+family runs them.  Trial ``k`` always draws from its global counter — Philox
+key ``(base_seed, k)`` on the kernels, master seed ``base_seed + k`` on the
+object simulator (the ``trial_offset`` contract) — and the chunks' trials are
+concatenated in range order, so a sharded sweep is bit-identical to the
+single-process one; only wall-clock time changes.
 """
 
 from __future__ import annotations
@@ -77,19 +71,10 @@ from repro.simulator.vectorized import (
     run_vectorized_trials,
 )
 
-#: Engine names accepted by :func:`run_sweep`.
-ENGINES = ("auto", "vectorized", "vectorized-mp", "object", "object-mp")
-
-#: Engine name -> result family.  Engines within one family are bit-identical
-#: (the parallel variants only change wall-clock time), which is why the
-#: sweep results store (:mod:`repro.sweeps.store`) keys cached results by
-#: family rather than by concrete engine.
-ENGINE_FAMILIES = {
-    "vectorized": "vectorized",
-    "vectorized-mp": "vectorized",
-    "object": "object",
-    "object-mp": "object",
-}
+#: Engine names accepted by :func:`run_sweep`: ``auto`` or a result family.
+#: The family decides the results (and the sweep-store key); ``workers``
+#: alone decides how many processes compute them.
+ENGINES = ("auto", "vectorized", "object")
 
 #: Object-simulator adversary names -> committee-engine behaviours, derived
 #: from the committee engine's full hook surface (the vectorised names
@@ -137,14 +122,16 @@ VECTORIZED_PROTOCOLS = tuple(sorted(PROTOCOL_KERNELS))
 #: process-pool startup cost outweighs the parallelism.
 _MIN_WORK_FOR_PROCESSES = 5_000_000
 
-#: Seed-range chunks handed out per worker (keeps the pool load-balanced when
-#: per-seed run times vary).
-_CHUNKS_PER_WORKER = 4
+#: Trial-range chunks handed out per worker, per family.  A kernel batch is
+#: cheapest whole, so each worker takes one; object-simulator trials vary in
+#: run time, so four chunks per worker keep the pool load-balanced.
+_CHUNKS_PER_WORKER = {"vectorized": 1, "object": 4}
 
 
 @dataclass
 class SweepResult(TrialsResult):
-    """A :class:`TrialsResult` that also records which engine produced it."""
+    """A :class:`TrialsResult` that also records the result family that
+    produced it (``"vectorized"`` or ``"object"``)."""
 
     engine: str = "object"
 
@@ -190,16 +177,21 @@ def select_engine(
     adversary: str,
     *,
     engine: str = "auto",
-    trials: int = 10,
-    n: int = 0,
-    workers: int | None = None,
     max_rounds: int | None = None,
     topology: str = "clique",
     loss: float = 0.0,
     protocol_kwargs: dict[str, Any] | None = None,
     adversary_kwargs: dict[str, Any] | None = None,
+    trials: int | None = None,
+    n: int | None = None,
 ) -> str:
-    """Resolve ``engine="auto"`` to a concrete engine name.
+    """Resolve ``engine`` to the result family that runs the configuration.
+
+    ``"auto"`` takes ``"vectorized"`` whenever :func:`vectorizable` holds and
+    ``"object"`` otherwise; an explicit family is returned as given.  The
+    sweep size (``trials``, ``n``) is accepted for existing callers but never
+    changes the family: only the pool size depends on it
+    (:func:`_pool_size`).
 
     Raises:
         ConfigurationError: For unknown engine names, or when
@@ -217,84 +209,56 @@ def select_engine(
         protocol_kwargs=protocol_kwargs,
         adversary_kwargs=adversary_kwargs,
     )
-    if engine in ("vectorized", "vectorized-mp"):
-        if not fast:
-            raise ConfigurationError(
-                f"no vectorized kernel for protocol={protocol!r} "
-                f"adversary={adversary!r} with the given options; "
-                "use engine='object' (or 'auto')"
-            )
-        return engine
+    if engine == "vectorized" and not fast:
+        raise ConfigurationError(
+            f"no vectorized kernel for protocol={protocol!r} "
+            f"adversary={adversary!r} with the given options; "
+            "use engine='object' (or 'auto')"
+        )
     if engine == "auto":
-        if fast:
-            # An explicit workers= under auto is an explicit request for the
-            # sharded pool (results are bit-identical either way).
-            if workers is not None and workers > 1 and trials > 1:
-                return "vectorized-mp"
-            return "vectorized"
-        if workers is not None:
-            return "object-mp" if workers > 1 else "object"
-        # Escalate to the process pool only when the sweep is big enough for
-        # the pool startup to pay off.
-        effective = os.cpu_count() or 1
-        if effective > 1 and trials > 1 and trials * n * n >= _MIN_WORK_FOR_PROCESSES:
-            return "object-mp"
-        return "object"
-    # Explicit "object" / "object-mp" choices are honored verbatim.
+        return "vectorized" if fast else "object"
     return engine
 
 
-def _seed_chunks(base_seed: int, trials: int, chunks: int) -> list[list[int]]:
-    """Split the seed range into at most ``chunks`` contiguous pieces."""
-    seeds = [base_seed + k for k in range(trials)]
-    size = max(1, -(-len(seeds) // max(1, chunks)))
-    return [seeds[i : i + size] for i in range(0, len(seeds), size)]
+def _pool_size(
+    engine: str, family: str, trials: int, n: int, workers: int | None
+) -> int:
+    """How many processes a sweep runs on.
 
-
-def _trials_chunk(payload: tuple[AgreementExperiment, list[int]]) -> list[TrialSummary]:
-    """Worker entry point: run one contiguous seed range serially."""
-    experiment, seeds = payload
-    return [run_single_trial(experiment, seed) for seed in seeds]
-
-
-def _run_object_sweep(
-    experiment: AgreementExperiment,
-    trials: int,
-    base_seed: int,
-    workers: int | None,
-    parallel: bool,
-) -> list[TrialSummary]:
-    """Object-simulator sweep, serial or fanned out over processes.
-
-    The parallel path is bit-identical to the serial one: seeds are assigned
-    as ``base_seed + k`` either way and results are re-assembled in seed
-    order.
+    An explicit ``workers`` is honoured for either family (at most one
+    process per trial).  Without one, only ``engine="auto"`` escalates: a
+    large object sweep — big enough for the pool startup to pay off — gets
+    one process per CPU.  An explicit engine without ``workers`` never spawns
+    a process.
     """
-    if not parallel or trials < 2:
-        return [run_single_trial(experiment, base_seed + k) for k in range(trials)]
-    pool_size = workers if workers is not None else (os.cpu_count() or 1)
-    pool_size = max(1, min(pool_size, trials))
-    chunks = _seed_chunks(base_seed, trials, pool_size * _CHUNKS_PER_WORKER)
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        parts = list(pool.map(_trials_chunk, [(experiment, chunk) for chunk in chunks]))
-    return [summary for part in parts for summary in part]
+    if workers is None:
+        large = trials > 1 and trials * n * n >= _MIN_WORK_FOR_PROCESSES
+        if engine != "auto" or family != "object" or not large:
+            return 1
+        workers = os.cpu_count() or 1
+    return max(1, min(workers, trials))
 
 
-def _run_vectorized_sweep(
+def _run_range(
     experiment: AgreementExperiment,
-    trials: int,
+    family: str,
+    count: int,
     base_seed: int,
+    trial_offset: int,
     params: ProtocolParameters | None,
-    trial_offset: int = 0,
-    backend: str | None = None,
+    backend: str | None,
 ) -> list[TrialSummary]:
-    """Batched kernel sweep: the kernel's own per-trial records.
+    """Run one contiguous trial range serially on ``family``.
 
-    Trial ``k`` of the call uses the counter-based Philox key
-    ``(base_seed, trial_offset + k)``, and the kernel records the global key
-    counter ``trial_offset + k`` as that trial's ``seed``
+    Trial ``k`` of the range uses the global counter ``trial_offset + k``:
+    master seed ``base_seed + trial_offset + k`` on the object simulator,
+    the counter-based Philox key ``(base_seed, trial_offset + k)`` on the
+    kernels, which record that counter as the trial's ``seed``
     (:func:`repro.simulator.phase_engine.finalize_planes`).
     """
+    if family == "object":
+        start = base_seed + trial_offset
+        return [run_single_trial(experiment, start + k) for k in range(count)]
     spec = PROTOCOL_KERNELS[experiment.protocol]
     kwargs: dict[str, Any] = {
         key: value
@@ -327,7 +291,7 @@ def _run_vectorized_sweep(
         experiment.t,
         adversary=spec.behaviours[experiment.adversary],
         inputs=experiment.inputs,
-        trials=trials,
+        trials=count,
         seed=base_seed,
         trial_offset=trial_offset,
         **kwargs,
@@ -340,104 +304,79 @@ def _run_vectorized_sweep(
     return summaries
 
 
-def _vectorized_shard(
-    payload: tuple[
-        AgreementExperiment,
-        int,
-        int,
-        ProtocolParameters | None,
-        int,
-        str | None,
-        tuple[int, str] | None,
-    ],
-) -> list[TrialSummary]:
-    """Worker entry point: one contiguous trial range of a sharded sweep.
+def _run_shard(payload: tuple[tuple, tuple[int, str] | None]) -> list[TrialSummary]:
+    """Worker entry point: one chunk of a sharded sweep.
 
-    When the parent is tracing, the payload carries a ``(shard_index, path)``
-    child-trace assignment: the worker runs under its own shard-tagged
-    :class:`Tracer` and exports it to ``path`` for the parent to merge
-    (tracers are per process, never inherited through the pool).
+    ``payload`` is the chunk's :func:`_run_range` arguments plus, when the
+    parent is tracing, a ``(shard_index, path)`` child-trace assignment: the
+    worker then runs under its own shard-tagged :class:`Tracer`, records the
+    chunk as one ``sweep.shard`` span and exports the trace to ``path`` for
+    the parent to absorb (tracers are per process, never inherited through
+    the pool).
     """
-    experiment, count, base_seed, params, trial_offset, backend, trace_spec = payload
+    range_args, trace_spec = payload
     if trace_spec is None:
-        return _run_vectorized_sweep(
-            experiment, count, base_seed, params, trial_offset, backend
-        )
+        return _run_range(*range_args)
     shard_index, trace_path = trace_spec
     tracer = Tracer(run_id=f"shard-{shard_index}", shard=shard_index)
-    with activate(tracer):
-        summaries = _run_vectorized_sweep(
-            experiment, count, base_seed, params, trial_offset, backend
-        )
+    count, trial_offset = range_args[2], range_args[4]
+    with activate(tracer), tracer.span(
+        "sweep.shard", trial_offset=trial_offset, trials=count
+    ):
+        summaries = _run_range(*range_args)
     write_trace(tracer, trace_path)
     return summaries
 
 
-def _run_vectorized_sharded(
+def _run_sharded(
     experiment: AgreementExperiment,
+    family: str,
     trials: int,
     base_seed: int,
+    trial_offset: int,
     params: ProtocolParameters | None,
-    workers: int | None,
-    backend: str | None = None,
-    trial_offset: int = 0,
+    backend: str | None,
+    pool_size: int,
 ) -> list[TrialSummary]:
-    """The batched kernel sweep sharded over processes by trial range.
+    """Split ``[trial_offset, trial_offset + trials)`` over a process pool.
 
-    The trial counter range ``[trial_offset, trial_offset + trials)`` is
-    split into contiguous sub-batches; each worker runs its sub-batch with
-    ``trial_offset`` set to the range start, so every trial draws from the
-    same ``(base_seed, k)`` Philox key it would use in the single-process
-    batch.  Partial aggregates are merged in range order via
-    :meth:`TrialsResult.merge`, which makes the sharded sweep bit-identical
-    to ``engine="vectorized"``.
+    The range is cut into contiguous chunks (``_CHUNKS_PER_WORKER`` per
+    worker); each chunk runs :func:`_run_range` at its own ``trial_offset``,
+    so every trial draws from the key it would use in one unsplit batch, and
+    the chunks' trials are concatenated in range order — bit-identical to
+    the single-process sweep.
     """
-    pool_size = workers if workers is not None else (os.cpu_count() or 1)
-    pool_size = max(1, min(pool_size, trials))
-    if pool_size == 1:
-        return _run_vectorized_sweep(
-            experiment, trials, base_seed, params, trial_offset, backend
-        )
+    chunks = min(trials, pool_size * _CHUNKS_PER_WORKER[family])
+    size = -(-trials // chunks)
     tracer = current_tracer()
     child_dir = (
         tempfile.mkdtemp(prefix="repro-trace-shards-") if tracer.enabled else None
     )
-    size = -(-trials // pool_size)
-    shards = []
-    for shard_index, start in enumerate(range(0, trials, size)):
-        trace_spec = (
+    payloads = [
+        (
+            (
+                experiment, family, min(size, trials - start), base_seed,
+                trial_offset + start, params, backend,
+            ),
             None
             if child_dir is None
-            else (
-                shard_index,
-                os.path.join(child_dir, f"shard-{shard_index:03d}.jsonl"),
-            )
+            else (shard, os.path.join(child_dir, f"shard-{shard:03d}.jsonl")),
         )
-        shards.append(
-            (
-                experiment, min(size, trials - start), base_seed, params,
-                trial_offset + start, backend, trace_spec,
-            )
-        )
+        for shard, start in enumerate(range(0, trials, size))
+    ]
     try:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(_vectorized_shard, shards))
-        if child_dir is not None:
-            # Merge the child traces in shard order; each child's events keep
-            # their own sequence numbers, so the merged trace orders
-            # deterministically by (shard, sequence) regardless of worker
-            # scheduling.
-            for payload in shards:
-                trace_spec = payload[6]
-                if trace_spec is not None and os.path.exists(trace_spec[1]):
-                    tracer.absorb(read_trace(trace_spec[1]), shard=trace_spec[0])
+            parts = list(pool.map(_run_shard, payloads))
+        # Absorb the child traces in chunk order; each child's events keep
+        # their own sequence numbers, so the merged trace orders
+        # deterministically by (shard, sequence) regardless of scheduling.
+        for _, trace_spec in payloads:
+            if trace_spec is not None and os.path.exists(trace_spec[1]):
+                tracer.absorb(read_trace(trace_spec[1]), shard=trace_spec[0])
     finally:
         if child_dir is not None:
             shutil.rmtree(child_dir, ignore_errors=True)
-    merged = TrialsResult.merge(
-        [TrialsResult(experiment=experiment, trials=part) for part in parts]
-    )
-    return merged.trials
+    return [summary for part in parts for summary in part]
 
 
 def run_sweep(
@@ -472,38 +411,37 @@ def run_sweep(
         engine: ``"auto"`` (default) picks the batched vectorised kernel
             whenever :data:`PROTOCOL_KERNELS` registers one for the
             ``(protocol, adversary)`` pair and otherwise falls back to the
-            object simulator, escalating to a multiprocessing executor when
-            ``workers > 1`` is requested (trial-range sharding of the batched
-            kernel) or the object sweep is large (seed-range fan-out);
-            ``"vectorized"`` / ``"vectorized-mp"`` / ``"object"`` /
-            ``"object-mp"`` force a path (``"object"`` never spawns
-            processes).
-        workers: Process count for the sharded executors (``None`` = one
-            per CPU).  Results never depend on it.
+            object simulator; ``"vectorized"`` / ``"object"`` force a
+            result family.
+        workers: Process count; ``workers > 1`` shards the trial range over
+            a process pool for either family.  ``None`` runs in-process,
+            except that ``engine="auto"`` gives a large object sweep one
+            process per CPU.  Results never depend on it.
         params: Committee-geometry override for the committee-family kernels
             (used by E3 to decouple the declared ``t`` from the attack
             budget).
         trials: Number of independent trials; trial ``k`` uses master seed
-            ``base_seed + k`` (object engines) or Philox key
+            ``base_seed + k`` (object simulator) or Philox key
             ``(base_seed, k)`` (vectorised kernels).
         trial_offset: Start of the call's trial-counter range (default 0).
             Trial ``k`` of the call uses the *global* counter
             ``trial_offset + k`` — master seed ``base_seed + trial_offset +
-            k`` on the object engines, Philox key ``(base_seed, trial_offset
-            + k)`` on the vectorised kernels — so concatenating batches run
-            at consecutive offsets is bit-identical to one unsplit sweep.
-            This is the contract sharded runs and sweep top-ups build on.
+            k`` on the object simulator, Philox key ``(base_seed,
+            trial_offset + k)`` on the vectorised kernels — so concatenating
+            batches run at consecutive offsets is bit-identical to one
+            unsplit sweep.  This is the contract sharded runs and sweep
+            top-ups build on.
         backend: Plane-backend selection for the vectorised kernels (a
             :func:`repro.simulator.planes.available_backends` name; ``None``
             defers to ``$REPRO_PLANE_BACKEND`` then ``numpy``).  Backends
             are bit-identical, so results — and sweep-store cache keys —
-            never depend on it; the object engines and closed-form kernels
+            never depend on it; the object simulator and closed-form kernels
             have no planes and ignore it.
 
     Returns:
         A :class:`SweepResult` whose ``trials`` list and aggregate properties
         match :func:`repro.core.runner.run_trials`, with ``engine`` recording
-        the executor actually used.
+        the result family that produced them.
     """
     if trials < 1:
         raise ConfigurationError(f"num_trials must be positive, got {trials}")
@@ -536,13 +474,10 @@ def run_sweep(
         adversary=experiment.adversary,
         requested=engine,
     ):
-        chosen = select_engine(
+        family = select_engine(
             experiment.protocol,
             experiment.adversary,
             engine=engine,
-            trials=trials,
-            n=experiment.n,
-            workers=workers,
             max_rounds=experiment.max_rounds,
             topology=experiment.topology,
             loss=experiment.loss,
@@ -550,7 +485,7 @@ def run_sweep(
             adversary_kwargs=experiment.adversary_kwargs,
         )
     if params is not None and (
-        chosen not in ("vectorized", "vectorized-mp")
+        family != "vectorized"
         or not PROTOCOL_KERNELS[experiment.protocol].supports_params
     ):
         raise ConfigurationError(
@@ -559,33 +494,24 @@ def run_sweep(
         )
 
     tracer.count(
-        "dispatch.kernel_path"
-        if chosen in ("vectorized", "vectorized-mp")
-        else "dispatch.object_path"
+        "dispatch.kernel_path" if family == "vectorized" else "dispatch.object_path"
     )
+    pool_size = _pool_size(engine, family, trials, experiment.n, workers)
     with tracer.span(
-        f"sweep.{chosen}",
+        f"sweep.{family}",
         protocol=experiment.protocol,
         adversary=experiment.adversary,
         n=experiment.n,
         trials=trials,
     ):
-        if chosen == "vectorized":
-            summaries = _run_vectorized_sweep(
-                experiment, trials, base_seed, params, trial_offset, backend
-            )
-        elif chosen == "vectorized-mp":
-            summaries = _run_vectorized_sharded(
-                experiment, trials, base_seed, params, workers, backend, trial_offset
-            )
+        range_args = (
+            experiment, family, trials, base_seed, trial_offset, params, backend,
+        )
+        if pool_size == 1:
+            summaries = _run_range(*range_args)
         else:
-            # The object engines' global counter is the master seed itself:
-            # trial k of the call runs on seed base_seed + trial_offset + k.
-            summaries = _run_object_sweep(
-                experiment, trials, base_seed + trial_offset, workers,
-                parallel=chosen == "object-mp",
-            )
-    return SweepResult(experiment=experiment, trials=summaries, engine=chosen)
+            summaries = _run_sharded(*range_args, pool_size)
+    return SweepResult(experiment=experiment, trials=summaries, engine=family)
 
 
 # ----------------------------------------------------------------------
@@ -794,7 +720,6 @@ def markdown_engine_tables() -> dict[str, str]:
 
 __all__ = [
     "ADVERSARY_FAST_PATH",
-    "ENGINE_FAMILIES",
     "ENGINES",
     "PROTOCOL_KERNELS",
     "SweepResult",

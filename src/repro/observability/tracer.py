@@ -11,9 +11,9 @@ the plane-op hot paths (asserted <2% of engine throughput by
 
 A real :class:`Tracer` is installed for the duration of a ``with
 activate(tracer):`` block (the CLI does this for ``--trace`` /
-``REPRO_TRACE=1``).  Activation is per process: ``vectorized-mp`` workers
-receive an explicit child-trace assignment through their shard payload
-instead of inheriting the parent's tracer.
+``REPRO_TRACE=1``).  Activation is per process: the workers of a sharded
+sweep (``workers > 1``) receive an explicit child-trace assignment through
+their shard payload instead of inheriting the parent's tracer.
 
 Determinism contract: tracing reads :func:`time.perf_counter_ns` and mutates
 its own event list — it never draws randomness or touches simulation state,
@@ -144,8 +144,8 @@ class Tracer:
 
     Args:
         run_id: Identifier stamped into the exported trace header.
-        shard: Worker-shard index for child tracers created inside
-            ``vectorized-mp`` workers (``None`` for the parent process).
+        shard: Worker-shard index for child tracers created inside the
+            workers of a sharded sweep (``None`` for the parent process).
     """
 
     enabled = True
@@ -210,7 +210,7 @@ class Tracer:
 
         Parent-process events (``shard`` ``None``) sort first; each worker
         shard follows in index order, each internally in sequence order —
-        the deterministic merge order of a ``vectorized-mp`` trace.
+        the deterministic merge order of a sharded sweep's trace.
         """
         return sorted(
             self._events,

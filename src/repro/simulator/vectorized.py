@@ -461,8 +461,8 @@ def run_vectorized_trials(
     with ``seed == trial_offset + k``, so a sweep of ``T`` trials can be split
     into contiguous sub-batches (each worker passing its range start as
     ``trial_offset``) whose concatenated results are bit-identical to the
-    single-batch run — the contract the ``vectorized-mp`` sharded executor of
-    :mod:`repro.engine` relies on.
+    single-batch run — the contract the trial-range sharder of
+    :mod:`repro.engine` (``workers > 1``) relies on.
     """
     simulator = build_vectorized_simulator(
         n, t, protocol=protocol, adversary=adversary, alpha=alpha, params=params,

@@ -43,7 +43,6 @@ from repro.sweeps.store import (
     STORE_SCHEMA_VERSION,
     ResultsStore,
     default_store_root,
-    engine_family,
     experiment_key,
     point_key,
     result_from_record,
@@ -66,7 +65,6 @@ __all__ = [
     "adaptive_plan_table",
     "canonical_json",
     "default_store_root",
-    "engine_family",
     "estimate_point",
     "expand_rows",
     "experiment_key",

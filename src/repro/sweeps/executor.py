@@ -25,8 +25,8 @@ holding at least ``trials`` trials is a cache hit served as its first
 allocation depends only on the accumulated results (ties broken by grid
 order), so an interrupted-and-resumed run replays the identical batch
 sequence.  Multi-core machines additionally get trial-range sharding for
-free — ``workers > 1`` routes vectorisable points through the bit-identical
-``vectorized-mp`` engine.
+free — ``workers > 1`` splits every batch over a process pool, bit-identical
+to running it in one process.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.sweeps.adaptive import (
 from repro.sweeps.spec import SweepPoint, SweepSpec
 from repro.sweeps.store import (
     ResultsStore,
-    engine_family,
     point_key,
     result_from_record,
     sweep_record,
@@ -160,33 +159,26 @@ class SweepRunReport:
 
 
 def spec_keys(
-    spec: SweepSpec,
-    *,
-    engine: str | None = None,
-    workers: int | None = None,
+    spec: SweepSpec, *, engine: str | None = None
 ) -> list[tuple[SweepPoint, str]]:
     """Expand a spec and compute each point's content key.
 
-    The key depends on the *result family* of the engine that would run the
-    point (``select_engine`` per point — "auto" may resolve differently per
-    configuration), never on the concrete serial/parallel variant or the
-    trial count.
+    The key depends on the *result family* that would run the point
+    (``select_engine`` per point — "auto" may resolve differently per
+    configuration), never on the worker count or the trial count.
     """
     requested = engine if engine is not None else spec.engine
     pairs = []
     for point in spec.expand():
-        resolved = select_engine(
+        family = select_engine(
             point.protocol,
             point.adversary,
             engine=requested,
-            trials=point.trials,
-            n=point.n,
-            workers=workers,
             max_rounds=point.max_rounds,
             topology=point.topology,
             loss=point.loss,
         )
-        pairs.append((point, point_key(point, engine_family(resolved))))
+        pairs.append((point, point_key(point, family)))
     return pairs
 
 
@@ -238,8 +230,8 @@ def run_spec(
         store: Results store; each point's record is read on entry and its
             accumulated record appended after every completed batch.
         engine: Engine override (defaults to the spec's own choice).
-        workers: Process count for the sharded executors; vectorisable
-            points run on ``vectorized-mp`` when ``workers > 1``.
+        workers: Process count; ``workers > 1`` shards every batch's trial
+            range over a process pool (results never depend on it).
         backend: Plane-backend selection for the vectorised kernels
             (:mod:`repro.simulator.planes`).  Backends are bit-identical,
             so it is pure execution policy: cache keys ignore it, and points
@@ -267,7 +259,7 @@ def run_spec(
         None if targets is None
         else {**dataclasses.asdict(targets), "initial_trials": spec.trials}
     )
-    pairs = spec_keys(spec, engine=engine, workers=workers)
+    pairs = spec_keys(spec, engine=engine)
     requested = engine if engine is not None else spec.engine
     outcomes: list[PointOutcome] = []
     results: list[SweepResult | None] = []

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro.core.runner import TrialsResult, TrialSummary
-from repro.engine import ENGINE_FAMILIES, SweepResult
+from repro.engine import SweepResult
 from repro.exceptions import ConfigurationError
 from repro.observability.tracer import current_tracer
 from repro.sweeps.spec import SweepPoint, canonical_json
@@ -74,23 +74,13 @@ def default_store_root() -> Path:
     return Path("benchmarks/results/store")
 
 
-def engine_family(engine: str) -> str:
-    """Collapse an engine name to its bit-identical result family."""
-    try:
-        return ENGINE_FAMILIES[engine]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; available: {sorted(ENGINE_FAMILIES)}"
-        ) from None
-
-
 def point_key(point: SweepPoint, family: str) -> str:
     """Content key of one sweep point's results under one engine family.
 
     The hash covers every configuration field *except* ``trials``
-    (:meth:`SweepPoint.canonical_base`), the engine *family* (``vectorized``
-    and ``vectorized-mp`` are bit-identical, as are ``object`` and
-    ``object-mp``) and the store schema version.  Being trials-independent,
+    (:meth:`SweepPoint.canonical_base`), the result family (the worker
+    count never changes results, so it is not part of the key) and the
+    store schema version.  Being trials-independent,
     one key holds a point's results at any trial count: a record with at
     least the requested trials is served as its prefix, a shorter one is
     topped up, and the append-only shard lines are the accumulation
@@ -141,7 +131,6 @@ def sweep_record(
         "kind": "sweep-point",
         "schema": STORE_SCHEMA_VERSION,
         "engine": engine,
-        "engine_family": engine_family(engine),
         "point": {**point.canonical(), "trials": result.num_trials},
         "summary": result.summary(),
         "trial_fields": fields,

@@ -210,7 +210,7 @@ class TestOneKey:
     def test_key_requires_a_result_family(self):
         point = TINY_ADAPTIVE.expand()[0]
         with pytest.raises(ConfigurationError):
-            point_key(point, "vectorized-mp")
+            point_key(point, "auto")
 
     def test_spec_expansion_pairs_points_with_keys(self):
         pairs = spec_keys(TINY_ADAPTIVE)
@@ -467,6 +467,13 @@ def _merge_batches(sizes: list[int]) -> list[TrialsResult]:
     return parts
 
 
+def _concatenate(parts: list[TrialsResult]) -> TrialsResult:
+    """The parts' trials concatenated in order, as sweep top-ups combine them."""
+    return TrialsResult(
+        parts[0].experiment, [summary for part in parts for summary in part.trials]
+    )
+
+
 @st.composite
 def partitions(draw):
     """An arbitrary ordered partition of ``_MERGE_TOTAL`` into >=1 parts."""
@@ -491,7 +498,7 @@ class TestMergeInvariance:
     @settings(max_examples=12, deadline=None)
     @given(sizes=partitions())
     def test_any_batch_split_reassembles_bit_identically(self, sizes, one_shot):
-        merged = TrialsResult.merge(_merge_batches(sizes))
+        merged = _concatenate(_merge_batches(sizes))
         assert trial_tuples(merged) == trial_tuples(one_shot)
 
     @settings(max_examples=12, deadline=None)
@@ -500,10 +507,10 @@ class TestMergeInvariance:
         parts = _merge_batches(sizes)
         left = parts[0]
         for part in parts[1:]:
-            left = TrialsResult.merge([left, part])
+            left = _concatenate([left, part])
         right = parts[-1]
         for part in reversed(parts[:-1]):
-            right = TrialsResult.merge([part, right])
+            right = _concatenate([part, right])
         assert trial_tuples(left) == trial_tuples(right) == trial_tuples(one_shot)
 
     @settings(max_examples=12, deadline=None)
@@ -517,7 +524,7 @@ class TestMergeInvariance:
         parts = _merge_batches(sizes)
         shuffled = parts[:]
         random.Random(order_seed).shuffle(shuffled)
-        merged = TrialsResult.merge(shuffled)
+        merged = _concatenate(shuffled)
         # Out-of-order merging permutes the trial list but can never change
         # the multiset of trials nor any permutation-invariant aggregate.
         assert sorted(trial_tuples(merged)) == sorted(trial_tuples(one_shot))

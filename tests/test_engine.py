@@ -10,6 +10,7 @@ from repro.engine import (
     ADVERSARY_FAST_PATH,
     PROTOCOL_KERNELS,
     SweepResult,
+    _pool_size,
     dispatch_table,
     kernel_support_table,
     run_sweep,
@@ -98,33 +99,42 @@ class TestSelectEngine:
         with pytest.raises(ConfigurationError):
             select_engine("committee-ba", "null", engine="warp")
 
-    def test_auto_escalates_to_processes_only_for_large_sweeps(self, monkeypatch):
+
+class TestPoolSize:
+    def test_auto_escalates_to_processes_only_for_large_object_sweeps(self, monkeypatch):
         import repro.engine as engine_module
 
         monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 8)
-        small = select_engine("eig", "equivocate", engine="auto",
-                              trials=5, n=32)
-        assert small == "object"
-        large = select_engine("eig", "equivocate", engine="auto",
-                              trials=200, n=512)
-        assert large == "object-mp"
+        assert _pool_size("auto", "object", 5, 32, None) == 1
+        assert _pool_size("auto", "object", 200, 512, None) == 8
+        # One process per trial at most, and a single trial never spawns.
+        assert _pool_size("auto", "object", 3, 4096, None) == 3
+        assert _pool_size("auto", "object", 1, 4096, None) == 1
+        # A large vectorized sweep stays in-process: the batch is the speedup.
+        assert _pool_size("auto", "vectorized", 200, 512, None) == 1
 
-    def test_auto_honors_an_explicit_worker_count(self):
-        # An explicit workers= under auto is an explicit request, regardless
-        # of sweep size.
-        parallel = select_engine("eig", "equivocate", engine="auto",
-                                 trials=5, n=32, workers=4)
-        assert parallel == "object-mp"
-        serial = select_engine("eig", "equivocate", engine="auto",
-                               trials=200, n=512, workers=1)
-        assert serial == "object"
+    def test_an_explicit_worker_count_is_honoured_for_every_engine(self):
+        # An explicit workers= is an explicit request, regardless of sweep
+        # size or engine; it is clamped to one process per trial.
+        for engine, family in (("auto", "object"), ("object", "object"),
+                               ("auto", "vectorized"), ("vectorized", "vectorized")):
+            assert _pool_size(engine, family, 5, 32, 4) == 4
+            assert _pool_size(engine, family, 200, 512, 1) == 1
+            assert _pool_size(engine, family, 3, 32, 8) == 3
 
-    def test_explicit_object_never_spawns_processes(self):
-        # engine="object" is a strict in-process contract, even for sweeps
-        # big enough that auto would escalate.
-        chosen = select_engine("eig", "equivocate", engine="object",
-                               trials=200, n=512, workers=4)
-        assert chosen == "object"
+    def test_explicit_engine_without_workers_never_spawns_processes(self, monkeypatch):
+        # An explicit engine with workers=None is a strict in-process
+        # contract, even for sweeps big enough that auto would escalate.
+        import repro.engine as engine_module
+
+        monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 8)
+        assert _pool_size("object", "object", 200, 512, None) == 1
+        assert _pool_size("vectorized", "vectorized", 200, 512, None) == 1
+
+    def test_select_engine_returns_the_family_whatever_the_sweep_size(self):
+        for trials, n in ((5, 32), (200, 512)):
+            assert select_engine("eig", "equivocate", trials=trials, n=n) == "object"
+            assert select_engine("eig", "static", trials=trials, n=n) == "vectorized"
 
 
 class TestRunSweep:
@@ -161,8 +171,8 @@ class TestRunSweep:
         serial = run_sweep(experiment=experiment, trials=5, base_seed=5,
                            engine="object")
         parallel = run_sweep(experiment=experiment, trials=5, base_seed=5,
-                             engine="object-mp", workers=2)
-        assert parallel.engine == "object-mp"
+                             engine="object", workers=2)
+        assert parallel.engine == "object"
         assert serial.trials == parallel.trials
 
     def test_run_trials_delegates_to_the_object_engine(self):
@@ -245,14 +255,14 @@ class TestKernelRecordContract:
         assert [record.seed for record in records] == list(
             range(self.OFFSET, self.OFFSET + self.TRIALS)
         )
-        for engine, workers in (("vectorized", None), ("vectorized-mp", 2)):
+        for workers in (None, 2):
             sweep = run_sweep(
                 n, t, protocol=protocol, adversary=adversary, inputs="split",
                 trials=self.TRIALS, base_seed=self.SEED, trial_offset=self.OFFSET,
-                engine=engine, workers=workers, allow_timeout=True,
+                engine="vectorized", workers=workers, allow_timeout=True,
             )
-            assert sweep.engine == engine
-            assert sweep.trials == records, engine
+            assert sweep.engine == "vectorized"
+            assert sweep.trials == records, workers
 
 
 class TestDispatchTable:

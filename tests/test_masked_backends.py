@@ -10,7 +10,7 @@ tally is an exact integer either way.  Acceptance surfaces:
 * **engine identity**: ``run_vectorized_trials`` under ``backend="packed"``
   matches ``"numpy"`` field-for-field over *every* topology generator
   crossed with loss in {0.0, 0.05, 0.3};
-* **sharded identity**: a masked lossy ``vectorized-mp`` sweep matches the
+* **sharded identity**: a masked lossy ``workers=2`` sweep matches the
   single-process numpy reference trial-for-trial;
 * **store keys**: a masked/lossy sweep point computed under one backend is
   a pure cache hit under the other (``point_key`` has no backend field);
@@ -63,9 +63,9 @@ class TestEngineBitIdentity:
         )
         serial = run_sweep(26, 3, engine="vectorized", backend="numpy", **kwargs)
         sharded = run_sweep(
-            26, 3, engine="vectorized-mp", workers=2, backend="packed", **kwargs
+            26, 3, engine="vectorized", workers=2, backend="packed", **kwargs
         )
-        assert sharded.engine == "vectorized-mp"
+        assert sharded.engine == "vectorized"
         assert [s.__dict__ for s in sharded.trials] == [
             s.__dict__ for s in serial.trials
         ]

@@ -2,7 +2,7 @@
 
 Covers the acceptance surfaces of the tentpole: NullTracer no-op semantics,
 JSONL schema round-trip and rejection, tracing on/off bit-identity across
-engines/backends (including a ``vectorized-mp`` child-trace merge),
+engines/backends (including the sharded sweep's child-trace merge),
 deterministic span ordering under batch compaction, the stage/counter
 aggregation maths, the store cache counters, and the ``repro trace`` CLI.
 """
@@ -175,26 +175,47 @@ class TestBitIdentity:
             if protocol == "committee-ba":
                 assert "engine.round1" in names and "engine.round2" in names
 
-    def test_vectorized_mp_merge_is_bit_identical_and_ordered(self):
-        experiment = AgreementExperiment(n=32, t=6, protocol="committee-ba",
-                                         adversary="coin-attack", inputs="split")
+    #: (protocol, adversary, n, t) per result family: committee-ba runs on
+    #: the batched kernel, eig x equivocate only on the object simulator.
+    SHARD_CONFIGS = {
+        "vectorized": ("committee-ba", "coin-attack", 32, 6),
+        "object": ("eig", "equivocate", 13, 2),
+    }
+
+    @pytest.mark.parametrize("explicit", [True, False], ids=["family", "auto"])
+    @pytest.mark.parametrize("family", ["vectorized", "object"])
+    def test_sharded_merge_is_bit_identical_and_ordered(self, family, explicit):
+        protocol, adversary, n, t = self.SHARD_CONFIGS[family]
+        experiment = AgreementExperiment(n=n, t=t, protocol=protocol,
+                                         adversary=adversary, inputs="split")
         kwargs = dict(experiment=experiment, trials=6, base_seed=7,
-                      engine="vectorized-mp", workers=2)
-        plain = run_sweep(**kwargs)
+                      engine=family if explicit else "auto")
+        single = run_sweep(**kwargs, workers=1)
+        plain = run_sweep(**kwargs, workers=2)
         tracer = Tracer(run_id="mp")
         with activate(tracer):
-            traced = run_sweep(**kwargs)
-        assert _trial_rows(traced) == _trial_rows(plain)
+            traced = run_sweep(**kwargs, workers=2)
+        assert single.engine == plain.engine == traced.engine == family
+        assert _trial_rows(traced) == _trial_rows(plain) == _trial_rows(single)
         events = tracer.events()
         shards = {e.get("shard") for e in events}
         assert shards >= {0, 1}  # child traces were absorbed
+        # Every shard recorded one sweep.shard span over its trial range, and
+        # the ranges tile the sweep in shard order.
+        shard_spans = [e for e in events if e.get("name") == "sweep.shard"]
+        assert [e["shard"] for e in shard_spans] == sorted(shards - {None})
+        offsets = [e["meta"]["trial_offset"] for e in shard_spans]
+        counts = [e["meta"]["trials"] for e in shard_spans]
+        assert offsets == [sum(counts[:i]) for i in range(len(counts))]
+        assert sum(counts) == 6
         # Deterministic merge order: parent (None -> -1) first, then shards
         # in index order, each in its own sequence order.
         keys = [(-1 if e.get("shard") is None else e["shard"],
                  e.get("seq", 0)) for e in events]
         assert keys == sorted(keys)
-        # Worker plane counters folded into the parent totals.
-        assert any(name.startswith("plane.") for name in tracer.counters)
+        if family == "vectorized":
+            # Worker plane counters folded into the parent totals.
+            assert any(name.startswith("plane.") for name in tracer.counters)
 
     def test_store_keys_identical_with_tracing(self):
         spec = SweepSpec(name="keys", protocols=("committee-ba",),

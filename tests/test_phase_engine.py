@@ -10,10 +10,10 @@ Four layers:
   equality) where the kernel's fault model is deterministic, statistical
   elsewhere, and bit-level no-op proofs for the inapplicable pairs;
 * the sharding contracts — ``trial_offset`` sub-batches concatenate
-  bit-identically for the protocol kernels and the coin Monte-Carlo, and the
-  ``vectorized-mp`` executor matches single-process execution on the new
+  bit-identically for the protocol kernels and the coin Monte-Carlo, and
+  ``workers > 1`` sharding matches single-process execution on the new
   pairs;
-* :meth:`repro.core.runner.TrialsResult.merge` edge cases and the shared
+* exact aggregates of concatenated partial results, and the shared
   input-pattern module.
 """
 
@@ -250,19 +250,19 @@ class TestShardingContracts:
             ("committee-ba-las-vegas", "random-noise", 48, 8),
         ],
     )
-    def test_vectorized_mp_is_bit_identical_on_new_pairs(self, protocol, adversary, n, t):
+    def test_sharded_sweep_is_bit_identical_on_new_pairs(self, protocol, adversary, n, t):
         serial = _sweep(protocol, adversary, n, t, "vectorized", 6)
         sharded = run_sweep(
             experiment=AgreementExperiment(n=n, t=t, protocol=protocol,
                                            adversary=adversary, inputs="split"),
-            trials=6, base_seed=11, engine="vectorized-mp", workers=2,
+            trials=6, base_seed=11, engine="vectorized", workers=2,
         )
-        assert sharded.engine == "vectorized-mp"
+        assert sharded.engine == "vectorized"
         assert [s.__dict__ for s in sharded.trials] == [s.__dict__ for s in serial.trials]
 
 
 # ----------------------------------------------------------------------
-# TrialsResult.merge edge cases
+# Concatenated partial results
 # ----------------------------------------------------------------------
 def _summary(seed, *, timed_out=False, validity=True, rounds=6):
     return TrialSummary(
@@ -275,14 +275,10 @@ def _summary(seed, *, timed_out=False, validity=True, rounds=6):
 class TestMergeEdgeCases:
     EXPERIMENT = AgreementExperiment(n=16, t=2)
 
-    def test_merge_of_empty_parts_list_raises(self):
-        with pytest.raises(ConfigurationError):
-            TrialsResult.merge([])
-
     def test_merge_of_a_single_part_is_the_identity(self):
         part = TrialsResult(experiment=self.EXPERIMENT,
                             trials=[_summary(0), _summary(1)])
-        merged = TrialsResult.merge([part])
+        merged = TrialsResult(self.EXPERIMENT, part.trials)
         assert merged.experiment == part.experiment
         assert merged.trials == part.trials
         assert merged.summary() == part.summary()
@@ -290,7 +286,7 @@ class TestMergeEdgeCases:
     def test_merge_with_empty_trial_lists_preserves_the_others(self):
         empty = TrialsResult(experiment=self.EXPERIMENT, trials=[])
         part = TrialsResult(experiment=self.EXPERIMENT, trials=[_summary(3)])
-        merged = TrialsResult.merge([empty, part, empty])
+        merged = TrialsResult(self.EXPERIMENT, empty.trials + part.trials + empty.trials)
         assert [s.seed for s in merged.trials] == [3]
 
     def test_merge_mixed_timeout_and_validity_rates_are_exact(self):
@@ -302,7 +298,7 @@ class TestMergeEdgeCases:
             experiment=self.EXPERIMENT,
             trials=[_summary(2, validity=False), _summary(3, timed_out=True, rounds=20)],
         )
-        merged = TrialsResult.merge([part1, part2])
+        merged = TrialsResult(self.EXPERIMENT, part1.trials + part2.trials)
         assert merged.num_trials == 4
         assert merged.timeout_rate == 0.5
         assert merged.validity_rate == 0.75

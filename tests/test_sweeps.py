@@ -2,8 +2,8 @@
 
 Covers the four acceptance surfaces: spec round-trip and content-hash
 stability across dict ordering, store resume semantics (interrupt mid-sweep,
-re-run, only pending points execute) and concurrent writers, shard-merge exactness of the
-``vectorized-mp`` engine, and the ``repro sweep`` CLI subcommands.
+re-run, only pending points execute) and concurrent writers, shard-merge exactness of
+``workers > 1`` trial-range sharding, and the ``repro sweep`` CLI subcommands.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.sweeps import (
     SweepPoint,
     SweepSpec,
     canonical_json,
-    engine_family,
     get_spec,
     markdown_library_table,
     point_key,
@@ -202,7 +201,7 @@ class TestContentKeys:
         assert point_key(first, "vectorized") != point_key(second, "vectorized")
         assert point_key(first, "vectorized") != point_key(first, "object")
         with pytest.raises(ConfigurationError):
-            point_key(first, "vectorized-mp")  # keys are per family, not engine
+            point_key(first, "auto")  # keys are per result family
 
     def test_canonical_json_sorts_keys(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
@@ -214,7 +213,7 @@ class TestStore:
         result = run_sweep(experiment=point.experiment(), trials=point.trials,
                            base_seed=point.base_seed)
         store = ResultsStore(tmp_path / "store")
-        key = point_key(point, engine_family(result.engine))
+        key = point_key(point, result.engine)
         store.put(key, sweep_record(point, result, result.engine))
         assert key in store and len(store) == 1
 
@@ -365,21 +364,9 @@ class TestShardMerge:
             TrialsResult(experiment=experiment, trials=whole.trials[:4]),
             TrialsResult(experiment=experiment, trials=whole.trials[4:]),
         ]
-        merged = TrialsResult.merge(parts)
+        merged = TrialsResult(experiment, parts[0].trials + parts[1].trials)
         assert merged.trials == whole.trials
         assert merged.summary() == whole.summary()
-
-    def test_merge_rejects_mismatched_experiments_and_empty(self):
-        a = AgreementExperiment(n=19, t=3, protocol="committee-ba",
-                                adversary="null", inputs="split")
-        b = AgreementExperiment(n=19, t=3, protocol="committee-ba",
-                                adversary="silent", inputs="split")
-        ra = run_sweep(experiment=a, trials=2, base_seed=0)
-        rb = run_sweep(experiment=b, trials=2, base_seed=0)
-        with pytest.raises(ConfigurationError):
-            TrialsResult.merge([ra, rb])
-        with pytest.raises(ConfigurationError):
-            TrialsResult.merge([])
 
     @pytest.mark.parametrize(
         "protocol,adversary,n,t",
@@ -390,12 +377,14 @@ class TestShardMerge:
             ("eig", "static", 13, 2),
         ],
     )
-    def test_vectorized_mp_bit_identical_to_vectorized(self, protocol, adversary, n, t):
+    def test_sharded_vectorized_bit_identical_to_single_process(
+        self, protocol, adversary, n, t
+    ):
         kwargs = dict(protocol=protocol, adversary=adversary, inputs="split",
-                      trials=7, base_seed=5)
-        single = run_sweep(n, t, engine="vectorized", **kwargs)
-        sharded = run_sweep(n, t, engine="vectorized-mp", workers=3, **kwargs)
-        assert sharded.engine == "vectorized-mp"
+                      trials=7, base_seed=5, engine="vectorized")
+        single = run_sweep(n, t, **kwargs)
+        sharded = run_sweep(n, t, workers=3, **kwargs)
+        assert sharded.engine == "vectorized"
         assert sharded.trials == single.trials
         assert sharded.summary() == single.summary()
 
@@ -409,10 +398,10 @@ class TestShardMerge:
         tail = run_vectorized_trials(48, 10, trials=3, trial_offset=5, **kwargs)
         assert head + tail == whole
 
-    def test_auto_with_workers_picks_the_sharded_engine(self):
+    def test_auto_with_workers_reports_the_family(self):
         result = run_sweep(19, 3, protocol="committee-ba", adversary="null",
                            trials=4, base_seed=1, engine="auto", workers=2)
-        assert result.engine == "vectorized-mp"
+        assert result.engine == "vectorized"
         serial = run_sweep(19, 3, protocol="committee-ba", adversary="null",
                            trials=4, base_seed=1, engine="auto")
         assert serial.engine == "vectorized"
