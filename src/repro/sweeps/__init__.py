@@ -43,7 +43,6 @@ from repro.sweeps.store import (
     STORE_SCHEMA_VERSION,
     ResultsStore,
     default_store_root,
-    experiment_key,
     point_key,
     result_from_record,
     sweep_record,
@@ -67,7 +66,6 @@ __all__ = [
     "default_store_root",
     "estimate_point",
     "expand_rows",
-    "experiment_key",
     "get_spec",
     "markdown_adaptive_plan",
     "markdown_library_table",

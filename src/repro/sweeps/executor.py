@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.engine import SweepResult, run_sweep, select_engine
-from repro.observability.tracer import Tracer, current_tracer
+from repro.observability.tracer import current_tracer
 from repro.sweeps.adaptive import (
     PointEstimate,
     PrecisionTargets,
@@ -84,10 +84,10 @@ class SweepRunReport:
     outcomes: list[PointOutcome]
     targets: PrecisionTargets | None = None
     seconds: float = 0.0
-    #: Store-cache counters of this invocation, read back from the telemetry
-    #: counter surface (``store.cache_hit`` / ``store.cache_miss``) rather
-    #: than re-derived from the index: a hit is a point whose record already
-    #: held its trials, a miss a point that had to execute (or stayed pending).
+    #: Store-cache counters of this invocation (also counted on the active
+    #: tracer as ``store.cache_hit`` / ``store.cache_miss``): a hit is a point
+    #: whose record already held its trials, a miss a point that had to
+    #: execute (or stayed pending).
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -263,14 +263,8 @@ def run_spec(
     requested = engine if engine is not None else spec.engine
     outcomes: list[PointOutcome] = []
     results: list[SweepResult | None] = []
-    executed = 0
+    executed = hits = 0
     tracer = current_tracer()
-    # The cache counters must exist even when tracing is disabled (they back
-    # the `repro sweep` output), so an untraced run counts into a local
-    # throwaway Tracer instead of the NullTracer.
-    counters = tracer if tracer.enabled else Tracer()
-    hits_before = counters.counter_value("store.cache_hit")
-    misses_before = counters.counter_value("store.cache_miss")
 
     def budget_left() -> bool:
         return limit is None or executed < limit
@@ -323,69 +317,65 @@ def run_spec(
             estimate=None if targets is None else estimate,
         )
 
-    try:
-        # Phase 1, in grid order: every point is served from the store or
-        # topped up to its trials.  Only the stored trial count decides a
-        # hit; trial rows are rebuilt only to top up or measure precision.
-        for index, (point, key) in enumerate(pairs):
-            record = store.get(key) if key in store else None
-            stored = 0 if record is None else record["point"]["trials"]
-            hit = stored >= point.trials
-            counters.count("store.cache_hit" if hit else "store.cache_miss")
-            results.append(
-                _stored_result(record, point, targets)
-                if targets is not None or not hit else None
+    # Phase 1, in grid order: every point is served from the store or
+    # topped up to its trials.  Only the stored trial count decides a
+    # hit; trial rows are rebuilt only to top up or measure precision.
+    for index, (point, key) in enumerate(pairs):
+        record = store.get(key) if key in store else None
+        stored = 0 if record is None else record["point"]["trials"]
+        hit = stored >= point.trials
+        hits += hit
+        tracer.count("store.cache_hit" if hit else "store.cache_miss")
+        results.append(
+            _stored_result(record, point, targets)
+            if targets is not None or not hit else None
+        )
+        outcomes.append(
+            PointOutcome(
+                point=point,
+                key=key,
+                status="cached" if hit else "pending",
+                engine="-" if record is None else record.get("engine", "-"),
+                trials=stored,
+                estimate=(
+                    None if targets is None
+                    else estimate_point(point, key, results[index], targets)
+                ),
             )
-            outcomes.append(
-                PointOutcome(
-                    point=point,
-                    key=key,
-                    status="cached" if hit else "pending",
-                    engine="-" if record is None else record.get("engine", "-"),
-                    trials=stored,
-                    estimate=(
-                        None if targets is None
-                        else estimate_point(point, key, results[index], targets)
-                    ),
-                )
-            )
-            if not hit and budget_left():
-                run_batch(index, point.trials - stored)
-            if progress is not None:
-                progress(outcomes[index], index, len(pairs))
-        # Phase 2, precision targets only: variance-greedy allocation.  Every
-        # decision depends only on the accumulated results (max() keeps the
-        # first of tied widths, and points iterate in grid order), so an
-        # interrupted run resumed from the store replays the identical batch
-        # sequence.
-        while targets is not None and budget_left():
-            open_points = [
-                index
-                for index, outcome in enumerate(outcomes)
-                if outcome.point.trials <= outcome.trials < targets.max_trials
-                and not outcome.estimate.converged
-            ]
-            if not open_points:
-                break
-            widest = max(open_points, key=lambda index: outcomes[index].estimate.width)
-            run_batch(
-                widest,
-                min(targets.batch_size, targets.max_trials - outcomes[widest].trials),
-            )
-            if progress is not None:
-                progress(outcomes[widest], widest, len(pairs))
-    finally:
-        # The shards are already durable; this only freshens the derived
-        # index cache, whose rewrites are amortised for large stores.
-        store.flush_index()
+        )
+        if not hit and budget_left():
+            run_batch(index, point.trials - stored)
+        if progress is not None:
+            progress(outcomes[index], index, len(pairs))
+    # Phase 2, precision targets only: variance-greedy allocation.  Every
+    # decision depends only on the accumulated results (max() keeps the
+    # first of tied widths, and points iterate in grid order), so an
+    # interrupted run resumed from the store replays the identical batch
+    # sequence.
+    while targets is not None and budget_left():
+        open_points = [
+            index
+            for index, outcome in enumerate(outcomes)
+            if outcome.point.trials <= outcome.trials < targets.max_trials
+            and not outcome.estimate.converged
+        ]
+        if not open_points:
+            break
+        widest = max(open_points, key=lambda index: outcomes[index].estimate.width)
+        run_batch(
+            widest,
+            min(targets.batch_size, targets.max_trials - outcomes[widest].trials),
+        )
+        if progress is not None:
+            progress(outcomes[widest], widest, len(pairs))
     return SweepRunReport(
         spec=spec,
         engine=requested,
         outcomes=outcomes,
         targets=targets,
         seconds=time.perf_counter() - started,
-        cache_hits=counters.counter_value("store.cache_hit") - hits_before,
-        cache_misses=counters.counter_value("store.cache_miss") - misses_before,
+        cache_hits=hits,
+        cache_misses=len(pairs) - hits,
     )
 
 

@@ -3,33 +3,36 @@
 Layout (default root ``benchmarks/results/store/``)::
 
     store/
-      shard-ab.jsonl   # append-only record log, sharded by key prefix
+      shard-ab.jsonl   # append-only log of sweep-point records, by key prefix
       shard-3f.jsonl
-      index.json       # derived key -> location/metadata cache
 
-Every record is one JSON line carrying its own ``key``: the SHA-256 of the
-canonical JSON of ``{schema, engine (result family), point without its trial
-count}``.  Because the key is a *content* hash of the configuration (plus the
-code-relevant schema version and engine family), re-running any spec — from
-the sweep executor, the benchmark harness or a notebook — deduplicates
-automatically: a point whose record holds enough trials is served from the
-store instead of recomputed, and one holding fewer is only topped up.
+The shards are the whole store: there is no index or other side file, and
+every record is one sweep point.  Each record is one JSON line carrying its
+own ``key``: the SHA-256 of the canonical JSON of ``{schema, engine (result
+family), point without its trial count}``.  Because the key is a *content*
+hash of the configuration (plus the code-relevant schema version and engine
+family), re-running any spec — from the CLI, a notebook or a script —
+deduplicates automatically: a point whose record holds enough trials is
+served from the store instead of recomputed, and one holding fewer is only
+topped up.
 
 Durability contract:
 
-* the JSONL shards are the single source of truth.  :meth:`ResultsStore.put`
-  appends one line and flushes before returning, so a sweep killed at any
-  moment loses at most the point being computed;
-* ``index.json`` is a derived cache (rewritten atomically after each append,
-  through a per-writer temp file so that concurrent writers never collide)
-  kept for humans and external tools; loading *never* trusts it — the shards
-  are rescanned, and a torn final line (the kill-mid-write case) is skipped
-  and simply recomputed on resume (the next append to that shard first
-  terminates the torn line, so the new record parses on the next open);
+* :meth:`ResultsStore.put` appends one line and fsyncs the shard before
+  returning.  One fsync per put is kept on purpose: an acknowledged point
+  survives an OS crash or power loss as well as a killed process, and a
+  sweep killed at any moment loses at most the point being computed;
+* opening rescans the shards; a torn final line (the kill-mid-write case) is
+  skipped and simply recomputed on resume (the next append to that shard
+  first terminates the torn line, so the new record parses on the next open);
 * shards are append-only.  Re-recording a key appends a new line; lookups
-  return the latest record, and the older lines remain as the result
-  trajectory (the benchmark harness uses this to keep one machine-readable
-  history per experiment).
+  return the latest record, and the older lines remain as the point's
+  accumulation trajectory.
+
+Stores written by older versions open unchanged: the derived index file
+they kept beside the shards is never read (it can be deleted), and their
+benchmark-harness ``"experiment"`` lines load as opaque records that no
+sweep key reaches.
 """
 
 from __future__ import annotations
@@ -37,10 +40,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.core.runner import TrialsResult, TrialSummary
 from repro.engine import SweepResult
@@ -98,17 +100,6 @@ def point_key(point: SweepPoint, family: str) -> str:
         "engine": family,
         "kind": "adaptive",
         "point": point.canonical_base(),
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def experiment_key(experiment_id: str, mode: str) -> str:
-    """Content key of one E1–E10 experiment trajectory (id + sweep mode)."""
-    payload = {
-        "schema": STORE_SCHEMA_VERSION,
-        "kind": "experiment",
-        "experiment_id": experiment_id,
-        "mode": mode,
     }
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
@@ -175,7 +166,6 @@ class ResultsStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._records: dict[str, dict[str, Any]] = {}
         self._lines = 0
-        self._index_dirty = False
         #: Shards whose last line lacks its newline (a torn append): the
         #: next append to one first terminates it, or the glued line would
         #: fail to parse on the next open and lose the new record with it.
@@ -219,25 +209,14 @@ class ResultsStore:
         """Total record lines on disk (>= len(self): the trajectory depth)."""
         return self._lines
 
-    def keys(self) -> Iterator[str]:
-        return iter(self._records)
-
     def get(self, key: str) -> dict[str, Any] | None:
         """The latest record stored under ``key`` (or None)."""
         current_tracer().count("store.read")
         return self._records.get(key)
 
-    def records(self, kind: str | None = None) -> list[dict[str, Any]]:
-        """All latest records, optionally filtered by ``kind``."""
-        return [
-            record
-            for record in self._records.values()
-            if kind is None or record.get("kind") == kind
-        ]
-
     # -- writes --------------------------------------------------------
     def put(self, key: str, record: Mapping[str, Any]) -> None:
-        """Append one record under ``key`` (flushed before returning)."""
+        """Append one record under ``key`` (fsynced before returning)."""
         if not key:
             raise ConfigurationError("a store key must be non-empty")
         current_tracer().count("store.write")
@@ -257,33 +236,3 @@ class ResultsStore:
         self._unterminated.discard(path)
         self._records[key] = stamped
         self._lines += 1
-        # The index is a derived cache, so its rewrite can be amortised for
-        # large stores (the executor flushes once more when a run ends);
-        # small stores stay eagerly fresh for humans tailing the directory.
-        self._index_dirty = True
-        if len(self._records) <= 512 or self._lines % 64 == 0:
-            self.flush_index()
-
-    # -- derived index -------------------------------------------------
-    def flush_index(self) -> None:
-        """Atomically rewrite the derived ``index.json`` cache (if stale)."""
-        if not self._index_dirty:
-            return
-        index = {
-            key: {
-                "shard": self._shard_path(key).name,
-                "kind": record.get("kind"),
-                "recorded_at": record.get("recorded_at"),
-            }
-            for key, record in sorted(self._records.items())
-        }
-        payload = json.dumps(
-            {"schema": STORE_SCHEMA_VERSION, "records": index}, indent=2
-        )
-        # A per-writer temp name (process and thread): concurrent writers
-        # sharing one store each rename their own complete file into place,
-        # and the last rename wins.
-        temp = self.root / f"index.json.{os.getpid()}.{threading.get_ident()}.tmp"
-        temp.write_text(payload + "\n", encoding="utf-8")
-        temp.replace(self.root / "index.json")
-        self._index_dirty = False

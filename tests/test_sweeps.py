@@ -252,20 +252,36 @@ class TestStore:
         assert "bb22" not in reopened
         assert reopened.get("aa33")["rows"] == [3]
 
-    def test_index_is_rewritten_and_derived(self, tmp_path):
-        store = ResultsStore(tmp_path / "store")
-        store.put("cc33", {"kind": "experiment"})
-        index = json.loads((tmp_path / "store" / "index.json").read_text())
-        assert "cc33" in index["records"]
-        # The index is a cache: deleting it loses nothing.
-        (tmp_path / "store" / "index.json").unlink()
-        assert "cc33" in ResultsStore(tmp_path / "store")
+    def test_run_leaves_only_shards_and_ignores_a_leftover_index(self, tmp_path):
+        # The shards are the whole store: a run writes nothing beside them.
+        root = tmp_path / "store"
+        run_spec(TINY, store=ResultsStore(root))
+        shards = sorted(path.name for path in root.glob("shard-*.jsonl"))
+        assert shards and sorted(path.name for path in root.iterdir()) == shards
+        served = {key: ResultsStore(root).get(key) for _, key in spec_keys(TINY)}
+        # An index.json left by an older version is neither read nor
+        # rewritten, even when it contradicts the shards.
+        leftover = root / "index.json"
+        leftover.write_text(
+            json.dumps({"schema": 1, "records": {"cc33": {"shard": "shard-cc.jsonl"}}})
+        )
+        before = (leftover.read_bytes(), leftover.stat().st_mtime_ns)
+        store = ResultsStore(root)
+        assert "cc33" not in store and len(store) == len(served)
+        rerun = run_spec(TINY, store=store)
+        assert (rerun.computed, rerun.cached) == (0, 4)
+        assert {key: store.get(key) for key in served} == served
+        assert (leftover.read_bytes(), leftover.stat().st_mtime_ns) == before
+        assert sorted(path.name for path in root.iterdir()) == sorted(
+            shards + ["index.json"]
+        )
 
     def test_concurrent_writers_share_one_store(self, tmp_path):
-        # Four `repro sweep run` processes race on one store: every index
-        # rewrite goes through the writer's own temp file, so none crashes,
-        # and the reopened store serves every point.  (Writers may compute
-        # the same point twice; both lines carry identical results.)
+        # Four `repro sweep run` processes race on one store.  Each only
+        # appends whole lines to the shards (there is no index rewrite to
+        # race on), so none crashes, no temp file is left behind, and the
+        # reopened store serves every point.  (Writers may compute the same
+        # point twice; both lines carry identical results.)
         root = tmp_path / "store"
         env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
         command = [sys.executable, "-m", "repro", "sweep", "run", "e6-quick",
